@@ -71,22 +71,12 @@ class UsageError(Exception):
 
 
 def _budget(args) -> SearchBudget:
-    return SearchBudget(
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
-        deterministic=args.deterministic,
-    )
+    return SearchBudget(node_limit=args.node_limit, time_limit=args.time_limit)
 
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--node-limit", type=int, default=None)
     sub.add_argument("--time-limit", type=float, default=None)
-    sub.add_argument(
-        "--deterministic",
-        action="store_true",
-        default=True,
-        help="fixed exploration order and witnesses (always on; engines are sequential)",
-    )
 
 
 def _add_graph_flags(sub: argparse.ArgumentParser) -> None:

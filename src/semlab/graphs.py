@@ -341,6 +341,80 @@ def canonical_form(g: Graph, _force_refined: bool = False) -> tuple[int, int]:
     return (g.p, _rows_to_mask(_canon_backtrack(g, refined)))
 
 
+# Backtracking steps one `automorphism_orbit` call may spend; candidates
+# left unproven when it runs out are dropped from the orbit.
+_ORBIT_STEP_LIMIT = 20_000
+
+
+def _bfs_order(g: Graph, root: int) -> list[int]:
+    # Breadth-first from `root`, then from the least unreached vertex of each
+    # further component: every vertex but a component's first has an earlier
+    # neighbour.
+    order = []
+    seen = 0
+    for s in [root] + list(range(g.p)):
+        if seen >> s & 1:
+            continue
+        seen |= 1 << s
+        queue = [s]
+        for v in queue:
+            order.append(v)
+            for u in _bits(g.adj[v] & ~seen):
+                seen |= 1 << u
+                queue.append(u)
+    return order
+
+
+def automorphism_orbit(g: Graph, v: int) -> list[int]:
+    """Vertices w, in increasing order, that an automorphism of g maps v to.
+
+    Always contains v. Another vertex enters only after an explicit vertex
+    permutation taking v to it has been found and checked edge by edge to
+    be an automorphism. Candidates are the vertices sharing v's stable
+    degree-refinement colour; the backtracking behind the check has a fixed
+    step allowance, and a candidate it cannot settle in time is left out.
+    So the result may miss orbit members but never holds a vertex outside
+    the orbit.
+    """
+    p, adj = g.p, g.adj
+    colors = _refine_colors(g)
+    order = _bfs_order(g, v)
+    perm = [-1] * p
+    steps = _ORBIT_STEP_LIMIT
+
+    def extend(k: int, placed: int, image: int) -> bool:
+        # Map order[k:] so that colours and the adjacency to every placed
+        # vertex are kept.
+        nonlocal steps
+        if k == p:
+            return True
+        x = order[k]
+        want = 0
+        for z in _bits(adj[x] & placed):
+            want |= 1 << perm[z]
+        for y in range(p):
+            if image >> y & 1 or colors[y] != colors[x] or (adj[y] & image) != want:
+                continue
+            steps -= 1
+            if steps < 0:
+                return False
+            perm[x] = y
+            if extend(k + 1, placed | 1 << x, image | 1 << y):
+                return True
+        return False
+
+    orbit = [v]
+    for w in range(p):
+        if w == v or colors[w] != colors[v]:
+            continue
+        perm[v] = w
+        if extend(1, 1 << v, 1 << w) and all(
+            g.has_edge(perm[a], perm[b]) for a, b in g.edges
+        ):
+            orbit.append(w)
+    return sorted(orbit)
+
+
 def enumerate_k_minus(n: int, alpha: int) -> Iterator[Graph]:
     """All graphs K_n minus exactly alpha edges, one per isomorphism class.
 

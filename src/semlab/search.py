@@ -4,9 +4,13 @@ All engines are complete: a None / proven answer means no solution exists
 in the stated range, and running out of budget raises SearchBudgetExceeded
 (surfaced as an Unknown result by `deficiency`) rather than guessing.
 
-Engines are single-threaded and, in deterministic mode, explore label
-candidates in increasing order over a fixed degree-then-index vertex order,
-so repeated runs return identical witnesses.
+Engines are single-threaded and explore label candidates in increasing
+order over a fixed vertex order (degree descending, then index ascending),
+so repeated runs return identical witnesses. The consecutive-sum kernel
+behind `find_sem_labeling`, `deficiency` and `find_sequential` returns the
+lexicographically first valid labeling, read as the tuple of labels along
+that order. Its symmetry rule relies on this contract: it only cuts
+branches that cannot hold that labeling.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, bipartition, is_tree
+from .graphs import Graph, automorphism_orbit, bipartition, is_tree
 from .labelings import (
     GracefulLabeling,
     ModularLabeling,
@@ -35,7 +39,6 @@ class SearchBudget:
 
     node_limit: int | None = None
     time_limit: float | None = None
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.node_limit is not None and self.node_limit <= 0:
@@ -82,17 +85,34 @@ def _consecutive_sum_search(
     """Injective labeling of V(g) into [lo, hi] whose q edge sums are
     duplicate-free and consecutive, or None if none exists.
 
-    Returns labels indexed by vertex. Prunes on duplicate sums and on the
-    sum span exceeding q (a q-element duplicate-free set is consecutive
-    iff its span is exactly q).
+    Returns labels indexed by vertex: the lexicographically first labeling
+    along `_search_order`. Prunes on duplicate sums and on the sum span
+    exceeding q (a q-element duplicate-free set is consecutive iff its span
+    is exactly q), and applies two rules that keep that first labeling:
+
+    - Counting: vertex v lies on deg(v) edges and the sums are s, ..., s+q-1,
+      so sum_v deg(v)*f(v) = q*s + q(q-1)/2. By rearrangement the left side
+      lies between the largest degrees taking the smallest labels and them
+      taking the largest, and s lies in [2*lo + 1, 2*hi - q]. No integer s
+      fitting both refutes the range before any node.
+    - Lex-leader: automorphisms and the complement f -> lo+hi-f map valid
+      labelings to valid labelings, so the first one is no larger at the
+      first position v0 than any of those images. Hence f(v0) <= (lo+hi)//2,
+      and every other w in v0's automorphism orbit has
+      f(v0) < f(w) <= lo+hi-f(v0).
     """
     p, q = g.p, g.q
     if hi - lo + 1 < p:
         return None
     if q == 0:
         return tuple(range(lo, lo + p))
-    # q consecutive sums need span q inside [2*lo + 1, 2*hi - 1].
-    if q > 2 * (hi - lo):
+    degrees = sorted(g.degrees(), reverse=True)
+    weight_min = sum(d * (lo + i) for i, d in enumerate(degrees))
+    weight_max = sum(d * (hi - i) for i, d in enumerate(degrees))
+    offset = q * (q - 1) // 2
+    s_min = max(2 * lo + 1, -((offset - weight_min) // q))
+    s_max = min(2 * hi - q, (weight_max - offset) // q)
+    if s_min > s_max:
         return None
 
     order = _search_order(g)
@@ -101,6 +121,10 @@ def _consecutive_sum_search(
         [pos_of[u] for u in g.neighbors(v) if pos_of[u] < i]
         for i, v in enumerate(order)
     ]
+    # Label candidates per position. The loop over f(v0) below narrows them
+    # at the positions of v0's automorphic images.
+    candidates = [range(lo, hi + 1)] * p
+    orbit_positions: list[int] = []
 
     labels = [0] * p
     used = 0
@@ -113,7 +137,7 @@ def _consecutive_sum_search(
             found = labels.copy()
             return True
         before = nbrs_before[i]
-        for c in range(lo, hi + 1):
+        for c in candidates[i]:
             if used >> c & 1:
                 continue
             clock.tick()
@@ -143,7 +167,21 @@ def _consecutive_sum_search(
             sums_mask &= ~add
         return False
 
-    if not place(0, 1 << 30, 0):
+    for first in range(lo, (lo + hi) // 2 + 1):
+        if first == lo + 1:
+            # With f(v0) = lo the orbit range [lo+1, hi] cuts nothing, so the
+            # orbit is worked out only once the search gets past that label.
+            orbit_positions = [
+                pos_of[w] for w in automorphism_orbit(g, order[0]) if w != order[0]
+            ]
+        for i in orbit_positions:
+            candidates[i] = range(first + 1, lo + hi - first + 1)
+        clock.tick()
+        labels[0] = first
+        used = 1 << first
+        if place(1, 1 << 30, 0):
+            break
+    else:
         return None
     assert found is not None
     out = [0] * p

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 
+import networkx as nx
+
 from semlab.graphs import Graph
 
 
@@ -25,6 +27,19 @@ def brute_find_sem(g: Graph, max_label: int):
     for labels in itertools.permutations(range(1, max_label + 1), g.p):
         if sem_valid(g, labels):
             return labels
+    return None
+
+
+def brute_lexfirst_sem(g: Graph, lo: int, hi: int, order):
+    """First injective labeling into [lo, hi] with consecutive sums, with
+    labels assigned to the vertices in `order` and candidate tuples taken in
+    lexicographic order; returned indexed by vertex."""
+    for perm in itertools.permutations(range(lo, hi + 1), g.p):
+        labels = [0] * g.p
+        for v, x in zip(order, perm):
+            labels[v] = x
+        if sem_valid(g, labels):
+            return tuple(labels)
     return None
 
 
@@ -174,6 +189,17 @@ def all_graphs_up_to_iso(p: int):
             seen.add(key)
             out.append(g)
     return out
+
+
+def atlas_graphs(max_order: int):
+    """Every graph of order 1..max_order (<= 7), one per isomorphism class,
+    from the networkx graph atlas: a fast independent source where
+    `all_graphs_up_to_iso` is too slow (order 6 takes it half a minute)."""
+    return [
+        Graph(a.number_of_nodes(), list(a.edges()))
+        for a in nx.graph_atlas_g()
+        if 1 <= a.number_of_nodes() <= max_order
+    ]
 
 
 def prufer_edges(seq, n):

@@ -5,8 +5,6 @@ in captured output otherwise). Heavier optional tiers:
 
   SEMLAB_ACCEPTANCE_FULL=1   extend the tree deficiency sweep to order 12
                              (adds ~5 minutes; default covers 2..10)
-  SEMLAB_D6_TIME=<seconds>   time budget for the 12-vertex prism deficiency
-                             search (default 120; it resolves in ~30s)
 """
 
 import itertools
@@ -56,7 +54,6 @@ from semlab.sidon import (
 )
 
 FULL = os.environ.get("SEMLAB_ACCEPTANCE_FULL") == "1"
-D6_TIME = float(os.environ.get("SEMLAB_D6_TIME", "120"))
 
 
 def report(num: int, detail: str) -> None:
@@ -141,15 +138,13 @@ def test_05_prism_deficiencies():
     assert recheck_sem_certificate(build_prism(4), res.witness.to_json_dict())
     details.append("D4=5")
 
+    # Extra 0 is refuted by the counting identity before any node; the
+    # extra-1 witness takes about a million nodes.
     d6 = build_prism(6)
-    res6 = deficiency(d6, 7, SearchBudget(time_limit=D6_TIME))
-    if res6.kind == "finite":
-        assert res6.value <= 7
-        assert recheck_sem_certificate(d6, res6.witness.to_json_dict())
-        details.append(f"D6={res6.value} (exact)")
-    else:
-        assert res6.kind == "unknown"
-        details.append("D6 unknown within budget; bound route asserted")
+    res6 = deficiency(d6, 7, SearchBudget(node_limit=2_000_000))
+    assert (res6.kind, res6.value) == ("finite", 1)
+    assert recheck_sem_certificate(d6, res6.witness.to_json_dict())
+    details.append("D6=1")
     # The bound route must hold regardless of the search outcome.
     alpha = find_alpha_valuation(d6)
     assert alpha is not None

@@ -12,6 +12,7 @@ from semlab.graphs import (
     Graph,
     Graph6Error,
     GraphFamilyTag,
+    automorphism_orbit,
     build_complete,
     build_cycle,
     build_lower_bound_witness,
@@ -331,6 +332,39 @@ class TestCanonicalForm:
         graphs = oracles.all_graphs_up_to_iso(5)
         assert len(graphs) == 34
         assert len({canonical_form(g) for g in graphs}) == 34
+
+
+class TestAutomorphismOrbit:
+    def test_matches_permutation_sweep(self):
+        for g in oracles.atlas_graphs(6):
+            autos = [
+                perm
+                for perm in itertools.permutations(range(g.p))
+                if g.relabeled(perm) == g
+            ]
+            for v in range(g.p):
+                expected = sorted({perm[v] for perm in autos})
+                assert automorphism_orbit(g, v) == expected, (g.edges, v)
+
+    def test_families(self):
+        assert automorphism_orbit(build_prism(8), 3) == list(range(16))
+        assert automorphism_orbit(build_path(5), 1) == [1, 3]
+        assert automorphism_orbit(build_star(4), 0) == [0]
+        assert automorphism_orbit(build_star(4), 2) == [1, 2, 3, 4]
+        two_paths = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        assert automorphism_orbit(two_paths, 0) == [0, 2, 3, 5]
+        assert automorphism_orbit(two_paths, 6) == [6]
+
+    def test_relabeling_moves_the_orbit(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            g = random_graph(rng, 10, rng.random())
+            perm = list(range(10))
+            rng.shuffle(perm)
+            h = g.relabeled(perm)
+            for v in range(10):
+                moved = sorted(perm[w] for w in automorphism_orbit(g, v))
+                assert automorphism_orbit(h, perm[v]) == moved
 
 
 class TestFamilyTag:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import oracles
+from semlab import graphs as graphs_mod
 from semlab.graphs import (
     Graph,
     build_complete,
@@ -103,9 +104,62 @@ class TestFindSem:
 
     def test_deterministic_witness(self):
         g = build_prism(3)
-        a = find_sem_labeling(g, 6, SearchBudget(deterministic=True))
-        b = find_sem_labeling(g, 6, SearchBudget(deterministic=True))
-        assert a == b
+        assert find_sem_labeling(g, 6) == find_sem_labeling(g, 6)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_even_prism_and_cycle_refuted_without_a_node(self, n):
+        # q even at extra 0 on a regular graph breaks the counting identity.
+        one = SearchBudget(node_limit=1)
+        assert find_sem_labeling(build_prism(n), 2 * n, one) is None
+        assert find_sem_labeling(build_cycle(n), n, one) is None
+
+    def test_odd_prisms_and_cycles_still_found(self):
+        graphs = [build_prism(n) for n in (3, 5)]
+        graphs += [build_cycle(n) for n in (3, 5, 7, 9, 11)]
+        for g in graphs:
+            f = find_sem_labeling(g, g.p)
+            assert f is not None
+            assert verify_sem(g, f).isolated == 0
+
+
+def degree_then_index(g):
+    return sorted(range(g.p), key=lambda v: (-g.degree(v), v))
+
+
+class TestLexFirstWitness:
+    """The consecutive-sum kernel returns exactly the lexicographically first
+    labeling along the degree-then-index order, so its pruning rules never
+    change a witness."""
+
+    def test_find_sem_matches_oracle(self):
+        for g in oracles.atlas_graphs(6):
+            for extra in range(4 if g.p <= 5 else 2):
+                top = g.p + extra
+                mine = find_sem_labeling(g, top)
+                ref = oracles.brute_lexfirst_sem(g, 1, top, degree_then_index(g))
+                assert (mine and mine.values) == ref, (g.edges, top)
+                assert (ref is None) == (oracles.brute_find_sem(g, top) is None)
+
+    def test_find_sequential_matches_oracle(self):
+        # Order 6 stops at 11 edges: the four densest classes alone make the
+        # oracle sweep take over ten seconds.
+        for g in oracles.atlas_graphs(6):
+            if g.q == 0 or (g.p == 6 and g.q > 11):
+                continue
+            top = g.q if is_tree(g) else g.q - 1
+            mine = find_sequential(g)
+            ref = oracles.brute_lexfirst_sem(g, 0, top, degree_then_index(g))
+            assert (mine and mine.values) == ref, g.edges
+
+    def test_truncated_orbit_keeps_every_answer(self, monkeypatch):
+        # With no step allowance no automorphism is proven, so the orbit of
+        # v0 is v0 alone and only the complement rule is left.
+        cases = [(g, g.p + x) for g in oracles.atlas_graphs(5) for x in range(3)]
+        cases += [(build_prism(4), 8 + x) for x in range(6)]
+        full = [find_sem_labeling(g, top) for g, top in cases]
+        monkeypatch.setattr(graphs_mod, "_ORBIT_STEP_LIMIT", 0)
+        assert graphs_mod.automorphism_orbit(build_prism(4), 0) == [0]
+        assert [find_sem_labeling(g, top) for g, top in cases] == full
 
 
 class TestDeficiency:
