@@ -418,30 +418,34 @@ def automorphism_orbit(g: Graph, v: int) -> list[int]:
 def enumerate_k_minus(n: int, alpha: int) -> Iterator[Graph]:
     """All graphs K_n minus exactly alpha edges, one per isomorphism class.
 
-    Requires n > 2*alpha. Classes are keyed by the canonical form of the
-    removed-edge graph restricted to its non-isolated vertices (at most
-    2*alpha of them), so the enumeration never canonicalises an order-n
-    graph.
+    Requires n > 2*alpha, so the removed edges span at most 2*alpha of the
+    n vertices and the classes are those of alpha-edge graphs on vertices
+    0..2*alpha-1. These are built one edge at a time: level k extends one
+    representative of each (k-1)-edge class by every absent edge and keeps
+    the first edge set per canonical form of its non-isolated part. Every
+    k-edge graph minus any edge is a (k-1)-edge graph, so no class is
+    missed. Only these small graphs are ever canonicalised.
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     if n <= 2 * alpha:
         raise ValueError("requires n > 2*alpha")
-    if alpha > n * (n - 1) // 2:
-        raise ValueError("cannot remove more edges than K_n has")
-    support = 2 * alpha
+    pairs = list(itertools.combinations(range(2 * alpha), 2))
+    level: list[tuple[tuple[int, int], ...]] = [()]
+    for _ in range(alpha):
+        classes: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        for parent in level:
+            for e in pairs:
+                if e in parent:
+                    continue
+                removed = tuple(sorted(parent + (e,)))
+                used = sorted({v for pair in removed for v in pair})
+                remap = {v: i for i, v in enumerate(used)}
+                small = Graph(len(used), [(remap[u], remap[v]) for u, v in removed])
+                classes.setdefault(canonical_form(small), removed)
+        level = list(classes.values())
     complete_edges = list(itertools.combinations(range(n), 2))
-    seen = set()
-    for removed in itertools.combinations(
-        itertools.combinations(range(support), 2), alpha
-    ):
-        used = sorted({v for e in removed for v in e})
-        remap = {v: i for i, v in enumerate(used)}
-        small = Graph(len(used), [(remap[u], remap[v]) for u, v in removed])
-        key = canonical_form(small)
-        if key in seen:
-            continue
-        seen.add(key)
+    for removed in level:
         gone = set(removed)
         yield Graph(n, [e for e in complete_edges if e not in gone])
 

@@ -182,17 +182,34 @@ class SemCertificate:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SemCertificate":
-        try:
-            return SemCertificate(
-                order=int(data["order"]),
-                isolated=int(data["isolated"]),
-                labels=tuple(int(x) for x in data["labels"]),
-                sums=tuple(int(x) for x in data["sums"]),
-                s=int(data["s"]),
-                k=int(data["k"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise LabelingError(f"malformed certificate: {exc}") from exc
+        check_json_fields(data, _SEM_FIELDS, LabelingError)
+        return SemCertificate(
+            order=data["order"],
+            isolated=data["isolated"],
+            labels=tuple(data["labels"]),
+            sums=tuple(data["sums"]),
+            s=data["s"],
+            k=data["k"],
+        )
+
+
+_SEM_FIELDS = {"order": int, "isolated": int, "labels": list, "sums": list, "s": int, "k": int}
+
+
+def check_json_fields(data, fields: dict[str, type], error: type[ValueError]) -> None:
+    """Raise `error` unless `data` is a dict whose keys are exactly those of
+    `fields` and whose values have the listed types: `int` (a bool or a
+    float does not count), `str`, or `list`, which must hold ints only."""
+    if not isinstance(data, dict) or data.keys() != fields.keys():
+        got = sorted(map(str, data)) if isinstance(data, dict) else type(data).__name__
+        raise error(f"malformed certificate: keys must be exactly {sorted(fields)}, got {got}")
+    for key, kind in fields.items():
+        value = data[key]
+        if type(value) is not kind or (
+            kind is list and any(type(x) is not int for x in value)
+        ):
+            want = "a list of integers" if kind is list else f"of type {kind.__name__}"
+            raise error(f"malformed certificate: {key!r} must be {want}, got {value!r}")
 
 
 def verify_sem(g: Graph, f: Labels, isolated_count: int = 0) -> SemCertificate:

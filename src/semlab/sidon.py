@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Graph
+from .labelings import check_json_fields
 from .search import SearchBudget, _BudgetClock
 
 
@@ -107,7 +108,10 @@ def rho_star(n: int, budget: SearchBudget | None = None) -> int:
 
     Depth-first search with the first element pinned to 1 (translation
     keeps spans and well-spreadness) and branch-and-bound pruning on the
-    achievable span. Raises SearchBudgetExceeded if the budget runs out.
+    achievable span. Only sets with x_n - x_{n-1} >= x_2 - x_1 are searched:
+    the reflection x -> x_1 + x_n - x keeps well-spreadness and the span and
+    reverses the gaps, so some optimal set meets the condition. Raises
+    SearchBudgetExceeded if the budget runs out.
     """
     if n < 2:
         raise ValueError("span is defined for cardinality >= 2")
@@ -122,26 +126,21 @@ def rho_star(n: int, budget: SearchBudget | None = None) -> int:
     def extend(k: int) -> None:
         # xs holds k chosen elements (xs[0] == 1); sums is the bitmask of
         # their pairwise sums. Chooses candidates for position k ascending.
-        # The span lower bounds below use: the final two largest elements
-        # are at least c+m and c+m-1, and the span is
-        # x_n + x_{n-1} - x_2 - x_1 + 1 with x_1 = 1.
+        # The span is x_n + x_{n-1} - x_2 - x_1 + 1 with x_1 = 1. Before the
+        # last element, x_{n-1} >= c+m-1 and the reflection condition
+        # x_n >= x_{n-1} + x_2 - 1 bound it below by 2c + 2m - 3 (this
+        # subsumes 2c + 2m - 1 - x_2 from x_n >= c+m, as x_2 >= 2).
         nonlocal best, sums
         m = n - k - 1  # elements still to place after the next one
         last = xs[-1]
-        x2 = xs[1] if k >= 2 else None
-        c = last + 1
+        c = last + 1 if m else last + xs[1] - 1
         while True:
-            if x2 is None:
-                # c becomes x_2; m >= 1 since n >= 3.
-                if c + 2 * m - 1 >= best:
+            if m:
+                if 2 * c + 2 * m - 3 >= best:
                     break
-            elif m:
-                if 2 * c + 2 * m - 1 - x2 >= best:
-                    break
-            else:
-                # c is the last element x_n.
-                if c + last - x2 >= best:
-                    break
+            elif c + last - xs[1] >= best:
+                # c is the last element x_n; this is its exact span.
+                break
             clock.tick()
             add = 0
             ok = True
@@ -293,20 +292,21 @@ class InfinityCertificate:
 
     @staticmethod
     def from_json_dict(data: dict) -> "InfinityCertificate":
-        try:
-            cert = InfinityCertificate(
-                clique=tuple(int(v) for v in data["clique"]),
-                q=int(data["q"]),
-                rho_lower=int(data["rho_lower"]),
-                source=str(data["source"]),
+        check_json_fields(data, _INFINITY_FIELDS, CertificateError)
+        cert = InfinityCertificate(
+            clique=tuple(data["clique"]),
+            q=data["q"],
+            rho_lower=data["rho_lower"],
+            source=data["source"],
+        )
+        if data["m"] != cert.m:
+            raise CertificateError(
+                f"stored m = {data['m']} but clique has {cert.m} vertices"
             )
-            if int(data["m"]) != cert.m:
-                raise CertificateError(
-                    f"stored m = {data['m']} but clique has {cert.m} vertices"
-                )
-        except (KeyError, TypeError) as exc:
-            raise CertificateError(f"malformed certificate: {exc}") from exc
         return cert
+
+
+_INFINITY_FIELDS = {"clique": list, "m": int, "q": int, "rho_lower": int, "source": str}
 
 
 def certify_infinite_deficiency(g: Graph) -> InfinityCertificate | None:

@@ -191,6 +191,26 @@ def all_graphs_up_to_iso(p: int):
     return out
 
 
+def edge_subset_classes(alpha: int) -> list[nx.Graph]:
+    """Every alpha-edge graph on 2*alpha vertices, one per isomorphism
+    class, as a networkx graph on its non-isolated vertices: walks all
+    alpha-subsets of the edges of K_{2*alpha}, buckets them by sorted degree
+    sequence (isolated vertices included) and dedups each bucket with
+    networkx.is_isomorphic."""
+    n = 2 * alpha
+    buckets: dict[tuple[int, ...], list[nx.Graph]] = {}
+    for edges in itertools.combinations(itertools.combinations(range(n), 2), alpha):
+        deg = [0] * n
+        for u, v in edges:
+            deg[u] += 1
+            deg[v] += 1
+        bucket = buckets.setdefault(tuple(sorted(deg)), [])
+        h = nx.Graph(edges)
+        if not any(nx.is_isomorphic(h, r) for r in bucket):
+            bucket.append(h)
+    return [r for bucket in buckets.values() for r in bucket]
+
+
 def atlas_graphs(max_order: int):
     """Every graph of order 1..max_order (<= 7), one per isomorphism class,
     from the networkx graph atlas: a fast independent source where

@@ -93,6 +93,16 @@ class TestDeficiency:
         code, out, _ = run(capsys, "verify", "--graph6", K7, "--cert", str(cert_file))
         assert code == 0
 
+    def test_float_field_and_non_object_are_invalid(self, capsys, tmp_path):
+        cert_file = tmp_path / "inf.json"
+        run(capsys, "deficiency", "--graph6", K7, "--cap", "0", "--out", str(cert_file))
+        data = json.loads(cert_file.read_text())
+        for bad in ({**data, "q": data["q"] + 0.9}, 7):
+            cert_file.write_text(json.dumps(bad))
+            code, out, _ = run(capsys, "verify", "--graph6", K7, "--cert", str(cert_file))
+            assert code == 2
+            assert "malformed certificate" in out
+
 
 class TestEngineslCommands:
     def test_strength(self, capsys):

@@ -235,6 +235,31 @@ class TestKMinus:
         with pytest.raises(ValueError):
             list(enumerate_k_minus(4, 2))
 
+    @pytest.mark.parametrize("alpha,count", [(1, 1), (2, 2), (3, 5), (4, 11)])
+    def test_classes_match_edge_subset_oracle(self, alpha, count):
+        classes = oracles.edge_subset_classes(alpha)
+        assert len(classes) == count
+        n = 2 * alpha + 1
+        matched = []
+        for g in enumerate_k_minus(n, alpha):
+            removed = nx.Graph(
+                e for e in itertools.combinations(range(n), 2) if not g.has_edge(*e)
+            )
+            hits = [i for i, r in enumerate(classes) if nx.is_isomorphic(removed, r)]
+            assert len(hits) == 1
+            matched += hits
+        assert sorted(matched) == list(range(count))
+
+    def test_grows_classes_edge_by_edge(self, monkeypatch):
+        # Sweeping every 4-subset of K_8's edges would take 20,475 forms;
+        # one-edge augmentation of the class representatives takes 232.
+        calls = []
+        monkeypatch.setattr(
+            "semlab.graphs.canonical_form", lambda g: calls.append(g) or canonical_form(g)
+        )
+        assert len(list(enumerate_k_minus(9, 4))) == 11
+        assert len(calls) <= 300
+
 
 class TestTrees:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 1), (4, 2)])

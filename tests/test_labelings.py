@@ -175,6 +175,27 @@ class TestCertificateSerialization:
         with pytest.raises(LabelingError):
             recheck_sem_certificate(g, data)
 
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            lambda d: d.update(k=float(d["k"])),
+            lambda d: d.update(s=str(d["s"])),
+            lambda d: d.update(order=True),
+            lambda d: d.update(isolated=d["isolated"] + 0.0),
+            lambda d: d.update(labels=[float(x) for x in d["labels"]]),
+            lambda d: d.update(sums=[str(x) for x in d["sums"]]),
+            lambda d: d.update(labels=tuple(d["labels"])),
+            lambda d: d.update(extra=1),
+        ],
+    )
+    def test_parse_is_strict(self, mutation):
+        g = build_cycle(4)
+        data = verify_sem(g, [1, 3, 2, 5], 1).to_json_dict()
+        recheck_sem_certificate(g, data)
+        mutation(data)
+        with pytest.raises(LabelingError):
+            recheck_sem_certificate(g, data)
+
 
 class TestStrengthOfNumbering:
     def test_k2(self):
