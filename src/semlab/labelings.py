@@ -255,7 +255,6 @@ def verify_sem(g: Graph, f: Labels, isolated_count: int = 0) -> SemCertificate:
         )
     s = lo
     k = total + g.q + s
-    assert sums == tuple(range(k - (total + g.q), k - (total + 1) + 1))
     return SemCertificate(g.p, isolated_count, full, sums, s, k)
 
 

@@ -73,6 +73,23 @@ class _BudgetClock:
         ):
             raise SearchBudgetExceeded(f"time limit exceeded after {self.nodes} nodes")
 
+    def advance(self, k: int) -> None:
+        """Charge k nodes at once, as k calls of tick() would: raises at the
+        first node past the node limit (leaving the count there, as tick()
+        does), and checks the deadline whenever the count crosses a multiple
+        of 1024."""
+        before = self.nodes
+        self.nodes += k
+        if self.node_limit is not None and self.nodes > self.node_limit:
+            self.nodes = self.node_limit + 1
+            raise SearchBudgetExceeded(f"node limit exceeded after {self.nodes} nodes")
+        if (
+            self.deadline is not None
+            and before | self._check_mask < self.nodes
+            and time.monotonic() > self.deadline
+        ):
+            raise SearchBudgetExceeded(f"time limit exceeded after {self.nodes} nodes")
+
 
 def _search_order(g: Graph) -> list[int]:
     # Fixed exploration order: degree descending, index ascending.

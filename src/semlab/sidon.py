@@ -85,20 +85,13 @@ def _greedy_ws_prefix(n: int) -> list[int]:
     # Greedy smallest-next-element well-spread set; used only to seed the
     # exact search with a decent upper bound.
     xs: list[int] = []
-    sums = 0
+    elems = sums = 0
     c = 1
     while len(xs) < n:
-        add = 0
-        ok = True
-        for x in xs:
-            bit = 1 << (x + c)
-            if (sums | add) & bit:
-                ok = False
-                break
-            add |= bit
-        if ok:
+        if not (elems << c) & sums:
             xs.append(c)
-            sums |= add
+            sums |= elems << c
+            elems |= 1 << c
         c += 1
     return xs
 
@@ -110,7 +103,8 @@ def rho_star(n: int, budget: SearchBudget | None = None) -> int:
     keeps spans and well-spreadness) and branch-and-bound pruning on the
     achievable span. Only sets with x_n - x_{n-1} >= x_2 - x_1 are searched:
     the reflection x -> x_1 + x_n - x keeps well-spreadness and the span and
-    reverses the gaps, so some optimal set meets the condition. Raises
+    reverses the gaps, so some optimal set meets the condition. One node
+    is counted per candidate tested, admissible or not. Raises
     SearchBudgetExceeded if the budget runs out.
     """
     if n < 2:
@@ -119,51 +113,47 @@ def rho_star(n: int, budget: SearchBudget | None = None) -> int:
         return 1
     clock = _BudgetClock(budget)
     best = pairwise_sum_span(_greedy_ws_prefix(n))
-
     xs = [1]
-    sums = 0
 
-    def extend(k: int) -> None:
-        # xs holds k chosen elements (xs[0] == 1); sums is the bitmask of
-        # their pairwise sums. Chooses candidates for position k ascending.
+    def extend(k: int, elems: int, sums: int) -> None:
+        # xs holds k chosen elements (xs[0] == 1), elems is their bitmask and
+        # sums the bitmask of their pairwise sums. Chooses candidates for
+        # position k ascending. Candidate c is admissible iff no x + c is
+        # already a sum, i.e. bit c of `forbidden` is clear, so the scan
+        # jumps from one admissible c to the next; the skipped candidates
+        # are still charged to the clock, one node each.
         # The span is x_n + x_{n-1} - x_2 - x_1 + 1 with x_1 = 1. Before the
         # last element, x_{n-1} >= c+m-1 and the reflection condition
         # x_n >= x_{n-1} + x_2 - 1 bound it below by 2c + 2m - 3 (this
-        # subsumes 2c + 2m - 1 - x_2 from x_n >= c+m, as x_2 >= 2).
-        nonlocal best, sums
+        # subsumes 2c + 2m - 1 - x_2 from x_n >= c+m, as x_2 >= 2). For the
+        # last element, c + last - x_2 is its exact span.
+        nonlocal best
         m = n - k - 1  # elements still to place after the next one
         last = xs[-1]
+        forbidden = 0
+        for x in xs:
+            forbidden |= sums >> x
+        free = ~forbidden
         c = last + 1 if m else last + xs[1] - 1
         while True:
+            # The first candidate whose span bound reaches best.
+            stop = (best - 2 * m + 4) // 2 if m else best - last + xs[1]
+            a = free >> c
+            nxt = c + (a & -a).bit_length() - 1
+            if nxt >= stop:
+                if stop > c:
+                    clock.advance(stop - c)
+                return
+            clock.advance(nxt - c + 1)
             if m:
-                if 2 * c + 2 * m - 3 >= best:
-                    break
-            elif c + last - xs[1] >= best:
-                # c is the last element x_n; this is its exact span.
-                break
-            clock.tick()
-            add = 0
-            ok = True
-            for x in xs:
-                bit = 1 << (x + c)
-                if (sums | add) & bit:
-                    ok = False
-                    break
-                add |= bit
-            if ok:
-                if m == 0:
-                    span = c + xs[-1] - xs[1] - xs[0] + 1
-                    if span < best:
-                        best = span
-                else:
-                    xs.append(c)
-                    sums |= add
-                    extend(k + 1)
-                    sums &= ~add
-                    xs.pop()
-            c += 1
+                xs.append(nxt)
+                extend(k + 1, elems | 1 << nxt, sums | elems << nxt)
+                xs.pop()
+            else:
+                best = nxt + last - xs[1]
+            c = nxt + 1
 
-    extend(1)
+    extend(1, 2, 0)
     return best
 
 

@@ -2,9 +2,13 @@
 
 import json
 
+import pytest
+
+from semlab import cli
 from semlab.cli import main
 from semlab.graphs import parse_graph6
 from semlab.labelings import recheck_sem_certificate
+from semlab.search import SearchBudgetExceeded
 from semlab.sidon import recheck_infinity_certificate
 
 C3 = "Bw"
@@ -163,6 +167,14 @@ class TestEngineslCommands:
         assert code == 64
 
 
+def _no_labeling(g, max_label, budget):
+    return None
+
+
+def _out_of_budget(g, max_label, budget):
+    raise SearchBudgetExceeded("node limit exceeded")
+
+
 class TestSurvey:
     def test_rows_for_max_n_four(self, capsys, tmp_path):
         out_file = tmp_path / "survey.csv"
@@ -207,6 +219,28 @@ class TestSurvey:
         run(capsys, "survey-trees", "--max-n", "6", "--out", str(a))
         run(capsys, "survey-trees", "--max-n", "6", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "search,sem,code,message",
+        [
+            # A proof that a tree is not SEM refutes the conjecture.
+            (_no_labeling, "none", 2, "EXPECTATION VIOLATED"),
+            (_out_of_budget, "unknown", 0, "expectations verified"),
+        ],
+    )
+    def test_sem_column_tells_proof_from_budget(
+        self, capsys, tmp_path, monkeypatch, search, sem, code, message
+    ):
+        monkeypatch.setattr(cli, "find_sem_labeling", search)
+        out_file = tmp_path / "survey.csv"
+        got, _, err = run(
+            capsys, "survey-trees", "--max-n", "4", "--out", str(out_file)
+        )
+        assert got == code
+        assert message in err
+        rows = [r.split(",") for r in out_file.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 4
+        assert all(r[3] == sem for r in rows)
 
 
 class TestTables:

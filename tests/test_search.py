@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ from semlab.labelings import (
 from semlab.search import (
     SearchBudget,
     SearchBudgetExceeded,
+    _BudgetClock,
     deficiency,
     deficiency_upper_via_alpha,
     find_alpha_valuation,
@@ -370,3 +372,50 @@ class TestBudget:
 
     def test_unlimited_by_default(self):
         assert find_sem_labeling(build_cycle(3), 3) is not None
+
+
+class TestBudgetClockAdvance:
+    def test_advance_to_limit_then_one_more(self):
+        clock = _BudgetClock(SearchBudget(node_limit=100))
+        clock.advance(60)
+        clock.advance(40)
+        assert clock.nodes == 100
+        with pytest.raises(SearchBudgetExceeded):
+            clock.advance(1)
+
+    def test_large_jump_past_limit(self):
+        clock = _BudgetClock(SearchBudget(node_limit=100))
+        with pytest.raises(SearchBudgetExceeded, match="after 101 nodes"):
+            clock.advance(10_000)
+        # The count stops where tick() would have raised.
+        assert clock.nodes == 101
+
+    def test_deadline_checked_when_crossing_1024(self):
+        clock = _BudgetClock(SearchBudget(time_limit=60))
+        clock.deadline = time.monotonic() - 1.0  # already past
+        clock.advance(1000)  # 0 -> 1000 crosses no multiple of 1024
+        clock.advance(23)  # 1000 -> 1023
+        with pytest.raises(SearchBudgetExceeded, match="time limit"):
+            clock.advance(2)  # 1023 -> 1025 crosses 1024
+
+    def test_matches_tick(self):
+        # Charging in chunks raises iff the same number of ticks would.
+        rng = random.Random(7)
+        for _ in range(200):
+            limit = rng.randint(1, 3000)
+            chunks = [rng.randint(0, 200) for _ in range(rng.randint(1, 30))]
+            ticked = _BudgetClock(SearchBudget(node_limit=limit))
+            advanced = _BudgetClock(SearchBudget(node_limit=limit))
+            tick_raised = advance_raised = False
+            try:
+                for _ in range(sum(chunks)):
+                    ticked.tick()
+            except SearchBudgetExceeded:
+                tick_raised = True
+            try:
+                for k in chunks:
+                    advanced.advance(k)
+            except SearchBudgetExceeded:
+                advance_raised = True
+            assert tick_raised == advance_raised
+            assert ticked.nodes == advanced.nodes

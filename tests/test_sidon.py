@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,9 +112,27 @@ class TestRhoStar:
         # 262,615 nodes; without the reflection rule it takes 629,575.
         assert rho_star(9, SearchBudget(node_limit=400_000)) == 62
 
+    @pytest.mark.parametrize(
+        "n,nodes,value", [(8, 13_440, 43), (9, 262_615, 62)]
+    )
+    def test_node_count_pinned(self, n, nodes, value):
+        # Skipped candidates are charged in bulk but still counted, so the
+        # search spends exactly the nodes of a one-by-one candidate scan.
+        assert rho_star(n, SearchBudget(node_limit=nodes)) == value
+        with pytest.raises(SearchBudgetExceeded):
+            rho_star(n, SearchBudget(node_limit=nodes - 1))
+
+    def test_time_budget_raises(self):
+        # rho*(12) takes far longer than the budget; the deadline is checked
+        # whenever a bulk charge crosses a multiple of 1024 nodes.
+        start = time.monotonic()
+        with pytest.raises(SearchBudgetExceeded, match="time limit"):
+            rho_star(12, SearchBudget(time_limit=0.2))
+        assert time.monotonic() - start < 5.0
+
     @pytest.mark.skipif(
         os.environ.get("SEMLAB_SLOW") != "1",
-        reason="cardinality 11 takes about 55 s on a 2-core x86-64 host "
+        reason="cardinality 11 takes about 25 s on a 2-core x86-64 host "
         "with CPython 3.11; set SEMLAB_SLOW=1",
     )
     def test_cardinality_eleven_dominates_quadratic_bound(self):
