@@ -211,10 +211,22 @@ def cmd_deficiency(args) -> int:
             {"kind": "infinite", "certificate": result.certificate.to_json_dict()},
         )
         return EXIT_OK
+    if result.reason == "budget":
+        human = (
+            f"deficiency: unknown (budget ran out at extra {result.searched_cap}; "
+            f"deficiency >= {result.lower})"
+        )
+    else:
+        human = f"deficiency: unknown (cap {result.searched_cap})"
     _print_result(
         args,
-        f"deficiency: unknown (cap {result.searched_cap})",
-        {"kind": "unknown", "searched_cap": result.searched_cap},
+        human,
+        {
+            "kind": "unknown",
+            "reason": result.reason,
+            "searched_cap": result.searched_cap,
+            "lower": result.lower,
+        },
     )
     return EXIT_UNKNOWN
 

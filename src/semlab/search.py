@@ -6,15 +6,18 @@ in the stated range, and running out of budget raises SearchBudgetExceeded
 
 Engines are single-threaded and explore label candidates in increasing
 order over a fixed vertex order (degree descending, then index ascending),
-so repeated runs return identical witnesses. The consecutive-sum kernel
-behind `find_sem_labeling`, `deficiency` and `find_sequential` returns the
-lexicographically first valid labeling, read as the tuple of labels along
-that order. Its symmetry rule relies on this contract: it only cuts
+so repeated runs return identical witnesses. One placement kernel,
+`_first_labeling`, backs `find_sem_labeling`, `deficiency`,
+`find_sequential`, `find_harmonious` and `find_alpha_valuation`: each call
+returns the lexicographically first valid labeling within its label
+ranges, read as the tuple of labels along that order. The symmetry rules
+of the consecutive-sum search rely on this contract: they only cut
 branches that cannot hold that labeling.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -96,6 +99,78 @@ def _search_order(g: Graph) -> list[int]:
     return sorted(range(g.p), key=lambda v: (-g.degree(v), v))
 
 
+def _first_labeling(
+    g: Graph,
+    order: list[int],
+    candidates: list,
+    value: list,
+    clock: _BudgetClock,
+    repeats: int = 0,
+) -> Optional[tuple[int, ...]]:
+    """The lexicographically first labeling along `order`, indexed by vertex,
+    whose q edge values are pairwise distinct and fit in a window of q
+    consecutive integers; None if there is none.
+
+    Vertex v takes a label from `candidates[v]`, tried in increasing order.
+    The edge uv gets the value `value[f(u)][f(v)]`, a non-negative integer.
+    Labels are distinct, except that `repeats` of them may be used twice.
+    q distinct integers in a window of q are consecutive. Differences of
+    labels in [0, q] and residues mod q always fit such a window, so that
+    test cuts only sum labelings. One node is charged to `clock` per
+    candidate that passes the label test.
+    """
+    p, q = g.p, g.q
+    pos_of = [0] * p
+    for i, v in enumerate(order):
+        pos_of[v] = i
+    nbrs_before = [
+        [pos_of[u] for u in g.neighbors(v) if pos_of[u] < i]
+        for i, v in enumerate(order)
+    ]
+    cands = [candidates[v] for v in order]
+    labels = [0] * p
+    tick = clock.tick
+
+    def place(
+        i: int, used: int, spare: int, seen: int, low: float, high: int
+    ) -> bool:
+        if i == p:
+            return True
+        before = nbrs_before[i]
+        for c in cands[i]:
+            if used >> c & 1 and not spare:
+                continue
+            tick()
+            row = value[c]
+            add = 0
+            new_low, new_high = low, high
+            for j in before:
+                x = row[labels[j]]
+                if (seen | add) >> x & 1:
+                    break
+                add |= 1 << x
+                if x < new_low:
+                    new_low = x
+                if x > new_high:
+                    new_high = x
+            else:
+                if new_high - new_low < q:
+                    labels[i] = c
+                    if place(
+                        i + 1, used | 1 << c, spare - (used >> c & 1),
+                        seen | add, new_low, new_high,
+                    ):
+                        return True
+        return False
+
+    if not place(0, 0, repeats, 0, math.inf, 0):
+        return None
+    out = [0] * p
+    for i, v in enumerate(order):
+        out[v] = labels[i]
+    return tuple(out)
+
+
 def _consecutive_sum_search(
     g: Graph, lo: int, hi: int, clock: _BudgetClock
 ) -> Optional[tuple[int, ...]]:
@@ -133,78 +208,25 @@ def _consecutive_sum_search(
         return None
 
     order = _search_order(g)
-    pos_of = {v: i for i, v in enumerate(order)}
-    nbrs_before = [
-        [pos_of[u] for u in g.neighbors(v) if pos_of[u] < i]
-        for i, v in enumerate(order)
-    ]
-    # Label candidates per position. The loop over f(v0) below narrows them
-    # at the positions of v0's automorphic images.
+    v0 = order[0]
+    # Row a holds a + b for every label b.
+    base = list(range(2 * hi + 1))
+    sums = [base[a : a + hi + 1] for a in range(hi + 1)]
+    # The loop over f(v0) narrows the ranges of v0 and its automorphic images.
     candidates = [range(lo, hi + 1)] * p
-    orbit_positions: list[int] = []
-
-    labels = [0] * p
-    used = 0
-    sums_mask = 0
-    found: Optional[list[int]] = None
-
-    def place(i: int, min_s: int, max_s: int) -> bool:
-        nonlocal used, sums_mask, found
-        if i == p:
-            found = labels.copy()
-            return True
-        before = nbrs_before[i]
-        for c in candidates[i]:
-            if used >> c & 1:
-                continue
-            clock.tick()
-            add = 0
-            new_min, new_max = min_s, max_s
-            ok = True
-            for j in before:
-                s = c + labels[j]
-                if (sums_mask | add) >> s & 1:
-                    ok = False
-                    break
-                add |= 1 << s
-                if s < new_min:
-                    new_min = s
-                if s > new_max:
-                    new_max = s
-            if not ok:
-                continue
-            if new_max - new_min + 1 > q:
-                continue
-            labels[i] = c
-            used |= 1 << c
-            sums_mask |= add
-            if place(i + 1, new_min, new_max):
-                return True
-            used &= ~(1 << c)
-            sums_mask &= ~add
-        return False
-
+    orbit: list[int] = []
     for first in range(lo, (lo + hi) // 2 + 1):
         if first == lo + 1:
             # With f(v0) = lo the orbit range [lo+1, hi] cuts nothing, so the
             # orbit is worked out only once the search gets past that label.
-            orbit_positions = [
-                pos_of[w] for w in automorphism_orbit(g, order[0]) if w != order[0]
-            ]
-        for i in orbit_positions:
-            candidates[i] = range(first + 1, lo + hi - first + 1)
-        clock.tick()
-        labels[0] = first
-        used = 1 << first
-        if place(1, 1 << 30, 0):
-            break
-    else:
-        return None
-    assert found is not None
-    out = [0] * p
-    for i, v in enumerate(order):
-        out[v] = found[i]
-    return tuple(out)
+            orbit = [w for w in automorphism_orbit(g, v0) if w != v0]
+        candidates[v0] = range(first, first + 1)
+        for w in orbit:
+            candidates[w] = range(first + 1, lo + hi - first + 1)
+        labels = _first_labeling(g, order, candidates, sums, clock)
+        if labels is not None:
+            return labels
+    return None
 
 
 def find_sem_labeling(
@@ -228,8 +250,10 @@ class DeficiencyResult:
 
     finite: `value` isolated vertices suffice and `witness` proves it, and
     no smaller count works (exhaustive below). infinite: `certificate`
-    proves no count works. unknown: searches up to `searched_cap` isolated
-    vertices were exhausted (or the budget ran out) without an answer.
+    proves no count works. unknown: `reason` says why the search stopped.
+    "cap": every count up to `searched_cap` was refuted; "budget": the
+    budget ran out while searching `searched_cap` isolated vertices, after
+    every smaller count was refuted.
     """
 
     kind: str
@@ -237,6 +261,14 @@ class DeficiencyResult:
     witness: SemCertificate | None = None
     certificate: object | None = None
     searched_cap: int | None = None
+    reason: str | None = None
+
+    @property
+    def lower(self) -> int | None:
+        """Proven lower bound on the deficiency (None when infinite)."""
+        if self.kind == "unknown":
+            return self.searched_cap + (self.reason == "cap")
+        return self.value
 
     @staticmethod
     def finite(value: int, witness: SemCertificate) -> "DeficiencyResult":
@@ -247,8 +279,10 @@ class DeficiencyResult:
         return DeficiencyResult(kind="infinite", certificate=certificate)
 
     @staticmethod
-    def unknown(searched_cap: int) -> "DeficiencyResult":
-        return DeficiencyResult(kind="unknown", searched_cap=searched_cap)
+    def unknown(searched_cap: int, reason: str = "cap") -> "DeficiencyResult":
+        return DeficiencyResult(
+            kind="unknown", searched_cap=searched_cap, reason=reason
+        )
 
 
 def deficiency(
@@ -259,7 +293,8 @@ def deficiency(
     Tries the infinite-deficiency certificate first; otherwise searches
     injective labelings into [1, p], [1, p+1], ... in order, so the first
     success is the exact minimum (unused labels go to isolated vertices).
-    Exhausting the cap, or the budget, yields an unknown result.
+    Exhausting the cap, or the budget, yields an unknown result whose
+    `reason` says which.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -273,7 +308,7 @@ def deficiency(
         try:
             labels = _consecutive_sum_search(g, 1, g.p + extra, clock)
         except SearchBudgetExceeded:
-            return DeficiencyResult.unknown(extra)
+            return DeficiencyResult.unknown(extra, "budget")
         if labels is not None:
             witness = verify_sem(g, labels, extra)
             return DeficiencyResult.finite(extra, witness)
@@ -365,16 +400,15 @@ def find_alpha_valuation(
         return None
     clock = _BudgetClock(budget)
     order = _search_order(g)
-    pos_of = {v: i for i, v in enumerate(order)}
-    nbrs_before = [
-        [pos_of[u] for u in g.neighbors(v) if pos_of[u] < i]
-        for i, v in enumerate(order)
-    ]
+    p, q = g.p, g.q
+    # Row a holds |a - b| for every label b.
+    base = [abs(x) for x in range(-q, q + 1)]
+    diffs = [base[q - a : 2 * q + 1 - a] for a in range(q + 1)]
 
     # Component side masks, each component orientable independently.
     comp_sides: list[tuple[int, int]] = []
     seen = 0
-    for s in range(g.p):
+    for s in range(p):
         if seen >> s & 1:
             continue
         comp = 1 << s
@@ -388,46 +422,8 @@ def find_alpha_valuation(
         seen |= comp
         comp_sides.append((comp & parts[0], comp & parts[1]))
 
-    p = g.p
-    labels = [0] * p
-    used = 0
-    diffs = 0
-
-    def place(i: int, boundary: int, low_mask: int) -> bool:
-        nonlocal used, diffs
-        if i == p:
-            return True
-        v = order[i]
-        if g.degree(v) == 0:
-            lo_c, hi_c = 0, g.q
-        elif low_mask >> v & 1:
-            lo_c, hi_c = 0, boundary
-        else:
-            lo_c, hi_c = boundary + 1, g.q
-        for c in range(lo_c, hi_c + 1):
-            if used >> c & 1:
-                continue
-            clock.tick()
-            add = 0
-            ok = True
-            for j in nbrs_before[i]:
-                d = abs(c - labels[j])
-                if (diffs | add) >> d & 1:
-                    ok = False
-                    break
-                add |= 1 << d
-            if not ok:
-                continue
-            labels[i] = c
-            used |= 1 << c
-            diffs |= add
-            if place(i + 1, boundary, low_mask):
-                return True
-            used &= ~(1 << c)
-            diffs &= ~add
-        return False
-
-    for boundary in range(g.q):
+    for boundary in range(q):
+        below, above = range(boundary + 1), range(boundary + 1, q + 1)
         for flips in range(1 << len(comp_sides)):
             low_mask = 0
             low_count = 0
@@ -438,13 +434,15 @@ def find_alpha_valuation(
                 low_mask |= lo_side
                 low_count += lo_side.bit_count()
                 hi_count += hi_side.bit_count()
-            if low_count > boundary + 1 or hi_count > g.q - boundary:
+            if low_count > boundary + 1 or hi_count > q - boundary:
                 continue
-            if place(0, boundary, low_mask):
-                out = [0] * p
-                for i, v in enumerate(order):
-                    out[v] = labels[i]
-                return GracefulLabeling(tuple(out), boundary)
+            candidates = [
+                (below if low_mask >> v & 1 else above) if g.adj[v] else range(q + 1)
+                for v in range(p)
+            ]
+            labels = _first_labeling(g, order, candidates, diffs, clock)
+            if labels is not None:
+                return GracefulLabeling(labels, boundary)
     return None
 
 
@@ -476,55 +474,13 @@ def find_harmonious(
     p, q = g.p, g.q
     if p - allowance > q:
         return None
-    order = _search_order(g)
-    pos_of = {v: i for i, v in enumerate(order)}
-    nbrs_before = [
-        [pos_of[u] for u in g.neighbors(v) if pos_of[u] < i]
-        for i, v in enumerate(order)
-    ]
-
-    labels = [0] * p
-    counts = [0] * q
-    repeats_left = allowance
-    residues = 0
-
-    def place(i: int) -> bool:
-        nonlocal repeats_left, residues
-        if i == p:
-            return True
-        for c in range(q):
-            if counts[c] >= 1 and (repeats_left == 0 or counts[c] >= 2):
-                continue
-            clock.tick()
-            add = 0
-            ok = True
-            for j in nbrs_before[i]:
-                r = (c + labels[j]) % q
-                if (residues | add) >> r & 1:
-                    ok = False
-                    break
-                add |= 1 << r
-            if not ok:
-                continue
-            labels[i] = c
-            counts[c] += 1
-            if counts[c] == 2:
-                repeats_left -= 1
-            residues |= add
-            if place(i + 1):
-                return True
-            if counts[c] == 2:
-                repeats_left += 1
-            counts[c] -= 1
-            residues &= ~add
-        return False
-
-    if not place(0):
-        return None
-    out = [0] * p
-    for i, v in enumerate(order):
-        out[v] = labels[i]
-    return ModularLabeling(tuple(out), allowance)
+    # Row a holds (a + b) mod q for every label b.
+    base = [x % q for x in range(2 * q)]
+    residues = [base[a : a + q] for a in range(q)]
+    labels = _first_labeling(
+        g, _search_order(g), [range(q)] * p, residues, clock, allowance
+    )
+    return None if labels is None else ModularLabeling(labels, allowance)
 
 
 def find_sequential(

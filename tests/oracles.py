@@ -109,6 +109,23 @@ def brute_harmonious(g: Graph):
     return None
 
 
+def brute_lexfirst_harmonious(g: Graph, order):
+    """First harmonious labeling under the repeat rule of `brute_harmonious`,
+    with labels assigned to the vertices in `order` and candidate tuples
+    taken in lexicographic order; returned indexed by vertex."""
+    assert g.q >= 1
+    allowance = 1 if _tree(g) else 0
+    for perm in itertools.product(range(g.q), repeat=g.p):
+        if g.p - len(set(perm)) > allowance:
+            continue
+        labels = [0] * g.p
+        for v, x in zip(order, perm):
+            labels[v] = x
+        if len({(labels[u] + labels[v]) % g.q for u, v in g.edges}) == g.q:
+            return tuple(labels)
+    return None
+
+
 def brute_sequential(g: Graph):
     """First injective labeling with q consecutive integer edge sums."""
     assert g.q >= 1

@@ -68,6 +68,27 @@ class TestDeficiency:
         assert code == 3
         assert "unknown (cap 0)" in out
 
+    def test_c4_cap_zero_json_reason(self, capsys):
+        code, out, _ = run(capsys, "deficiency", "--graph6", C4, "--cap", "0", "--json")
+        assert code == 3
+        assert json.loads(out) == {
+            "kind": "unknown", "reason": "cap", "searched_cap": 0, "lower": 1,
+        }
+
+    def test_budget_exhaustion_names_the_extra(self, capsys):
+        argv = ["deficiency", "--family", "prism", "--params", "8", "--cap", "3",
+                "--node-limit", "1000"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 3
+        assert out.strip() == (
+            "deficiency: unknown (budget ran out at extra 1; deficiency >= 1)"
+        )
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 3
+        assert json.loads(out) == {
+            "kind": "unknown", "reason": "budget", "searched_cap": 1, "lower": 1,
+        }
+
     def test_witness_file_revalidates_via_cli(self, capsys, tmp_path):
         cert_file = tmp_path / "cert.json"
         code, _, _ = run(

@@ -20,6 +20,7 @@ from semlab.graphs import (
 )
 from semlab.labelings import (
     ModularLabeling,
+    VertexLabeling,
     verify_alpha,
     verify_harmonious,
     verify_sem,
@@ -153,6 +154,14 @@ class TestLexFirstWitness:
             ref = oracles.brute_lexfirst_sem(g, 0, top, degree_then_index(g))
             assert (mine and mine.values) == ref, g.edges
 
+    def test_find_harmonious_matches_oracle(self):
+        graphs = [g for g in oracles.atlas_graphs(5) if g.q]
+        graphs += [t for n in range(2, 8) for t in enumerate_trees(n)]
+        for g in graphs:
+            mine = find_harmonious(g)
+            ref = oracles.brute_lexfirst_harmonious(g, degree_then_index(g))
+            assert (mine and mine.values) == ref, g.edges
+
     def test_truncated_orbit_keeps_every_answer(self, monkeypatch):
         # With no step allowance no automorphism is proven, so the orbit of
         # v0 is v0 alone and only the complement rule is left.
@@ -162,6 +171,39 @@ class TestLexFirstWitness:
         monkeypatch.setattr(graphs_mod, "_ORBIT_STEP_LIMIT", 0)
         assert graphs_mod.automorphism_orbit(build_prism(4), 0) == [0]
         assert [find_sem_labeling(g, top) for g, top in cases] == full
+
+
+def deficiency_cap7(g, budget):
+    """deficiency(g, 7) as an engine: its witness, or SearchBudgetExceeded
+    when the budget ran out."""
+    res = deficiency(g, 7, budget)
+    if res.reason == "budget":
+        raise SearchBudgetExceeded(f"budget ran out at extra {res.searched_cap}")
+    return VertexLabeling(res.witness.labels)
+
+
+@pytest.mark.parametrize(
+    "search, g, nodes, witness",
+    [
+        (find_harmonious, build_path(10), 158, (5, 0, 0, 1, 2, 6, 7, 8, 3, 4)),
+        (find_harmonious, build_cycle(8), 31_584, None),
+        (find_harmonious, build_complete(5), 26_020, None),
+        (find_sequential, build_cycle(11), 41_796, (0, 5, 1, 6, 2, 7, 8, 3, 9, 4, 10)),
+        (find_sequential, build_prism(5), 76_090, (0, 2, 1, 3, 5, 9, 4, 6, 8, 7)),
+        (find_sequential, build_prism(4), 99_646, None),
+        (find_alpha_valuation, build_path(10), 841, (4, 5, 3, 6, 2, 7, 1, 8, 0, 9)),
+        (find_alpha_valuation, build_prism(4), 825, (0, 4, 2, 12, 6, 3, 10, 1)),
+        (deficiency_cap7, build_prism(4), 217_734, (1, 5, 2, 8, 10, 3, 13, 4, 6, 7, 9, 11, 12)),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_exploration_is_pinned(search, g, nodes, witness):
+    """Each search explores exactly `nodes` nodes: it ends with the same
+    witness (or None) at that node limit and runs out one node below."""
+    found = search(g, SearchBudget(node_limit=nodes))
+    assert (found and found.values) == witness
+    with pytest.raises(SearchBudgetExceeded):
+        search(g, SearchBudget(node_limit=nodes - 1))
 
 
 class TestDeficiency:
@@ -201,11 +243,21 @@ class TestDeficiency:
 
     def test_unknown_on_cap(self):
         res = deficiency(build_cycle(4), 0)
-        assert (res.kind, res.searched_cap) == ("unknown", 0)
+        assert (res.kind, res.reason, res.searched_cap, res.lower) == (
+            "unknown", "cap", 0, 1
+        )
 
     def test_unknown_on_budget(self):
+        # Extra 0 is refuted by counting before any node; the budget then
+        # runs out at extra 1, well short of the cap.
         res = deficiency(build_prism(4), 6, SearchBudget(node_limit=50))
-        assert res.kind == "unknown"
+        assert (res.kind, res.reason, res.searched_cap, res.lower) == (
+            "unknown", "budget", 1, 1
+        )
+
+    def test_lower_bound_of_decided_results(self):
+        assert deficiency(build_cycle(4), 4).lower == 1
+        assert deficiency(build_complete(5), 2).lower is None
 
     def test_edgeless_zero(self):
         res = deficiency(Graph(4, []), 2)
