@@ -151,16 +151,15 @@ class PrismBoundRow:
         }
 
 
-def prism_bounds(n: int, exact: int | None = None) -> PrismBoundRow:
+def prism_bounds(n: int) -> PrismBoundRow:
     """Bound row for the prism over C_n. Odd n are exactly deficiency 0;
-    even n get the bracket [1, n+1]. `exact` injects a known value from a
-    completed search (n = 4 is built in)."""
+    even n get the bracket [1, n+1], with the known value 5 at n = 4."""
     if n < 3:
         raise ValueError("prism needs cycle length >= 3")
     if n % 2 == 1:
         return PrismBoundRow(n, 0, 0, None, 0, "exact")
     old = 3 * n // 2 - 1 if n % 4 == 0 else None
-    known = 5 if n == 4 else exact
+    known = 5 if n == 4 else None
     return PrismBoundRow(
         n,
         lower=1,

@@ -36,10 +36,13 @@ from .graphs import (
 )
 from .labelings import (
     LabelingError,
+    ModularLabeling,
     gap,
     recheck_sem_certificate,
     sum_set,
+    verify_harmonious,
     verify_sem,
+    verify_sequential,
 )
 from .search import (
     SearchBudget,
@@ -330,16 +333,25 @@ def _survey_rows(max_n: int, budget: SearchBudget):
                 "order": n,
                 "is_caterpillar": str(is_caterpillar(tree)).lower(),
             }
+            # For a SEM labeling f of a tree, f - 1 is sequential and f mod q
+            # is harmonious; g + 1 is SEM for any sequential g (README).
             try:
                 labeling = find_sem_labeling(tree, tree.p, budget)
             except SearchBudgetExceeded:
-                row["sem"] = "unknown"
+                row["sem"] = row["harmonious"] = row["sequential"] = "unknown"
             else:
                 if labeling is None:
                     row["sem"] = "none"
+                    row["harmonious"] = "unknown"
+                    row["sequential"] = "false"
                 else:
                     verify_sem(tree, labeling)
                     row["sem"] = "finite0"
+                    f, q = labeling.values, tree.q
+                    harmonious = ModularLabeling(tuple(x % q for x in f), 1)
+                    sequential = ModularLabeling(tuple(x - 1 for x in f))
+                    row["harmonious"] = str(verify_harmonious(tree, harmonious)).lower()
+                    row["sequential"] = str(verify_sequential(tree, sequential)).lower()
             try:
                 st = strength(tree, budget)
                 row["strength"] = st
@@ -349,12 +361,6 @@ def _survey_rows(max_n: int, budget: SearchBudget):
                 row["strength"] = "unknown"
                 row["strength_matches"] = "unknown"
                 row["conjecture3_slack"] = "unknown"
-            for col, searcher in (("harmonious", find_harmonious), ("sequential", find_sequential)):
-                try:
-                    found = searcher(tree, budget)
-                    row[col] = "true" if found is not None else "false"
-                except SearchBudgetExceeded:
-                    row[col] = "unknown"
             yield row
 
 
@@ -380,13 +386,8 @@ def cmd_survey_trees(args) -> int:
         raise UsageError(
             f"survey enumeration limit is order {SURVEY_MAX_ORDER}"
         )
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_SURVEY_COLUMNS, lineterminator="\n")
-    writer.writeheader()
     rows = list(_survey_rows(args.max_n, _budget(args)))
-    for row in rows:
-        writer.writerow(row)
-    _emit(args, buf.getvalue())
+    _write_table(args, _SURVEY_COLUMNS, rows)
     # A tree proven not SEM (`none`) refutes the conjecture that all trees
     # are SEM, so it fails the survey like any other violated expectation.
     ok = all(

@@ -271,17 +271,14 @@ def _refine_colors(g: Graph) -> list[int]:
         colors = new
 
 
-def _canon_backtrack(g: Graph, refined: bool) -> list[int]:
+def _canon_backtrack(g: Graph) -> list[int]:
     # Minimum row-bitstring sequence (row j = adjacency of the j-th placed
     # vertex to earlier ones) over vertex orderings, found by backtracking
-    # with prefix pruning. With `refined`, orderings are restricted to the
-    # colour-class blocks of the stable degree refinement (still a sound
-    # canonical form: the colouring is an isomorphism invariant).
+    # with prefix pruning. Orderings are restricted to the colour-class
+    # blocks of the stable degree refinement (still a sound canonical form:
+    # the colouring is an isomorphism invariant).
     p = g.p
-    if refined:
-        colors = _refine_colors(g)
-    else:
-        colors = [0] * p
+    colors = _refine_colors(g)
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
@@ -329,16 +326,13 @@ def _rows_to_mask(rows: list[int]) -> int:
     return mask
 
 
-def canonical_form(g: Graph, _force_refined: bool = False) -> tuple[int, int]:
+def canonical_form(g: Graph) -> tuple[int, int]:
     """Canonical key (order, edge bitmask); equal iff graphs are isomorphic.
 
-    Orders <= 8 take the exact minimum adjacency bitstring over all vertex
-    orderings; larger orders restrict the orderings by degree refinement
-    before the backtracking minimisation. Keys embed the order, and each
-    order uses one fixed objective, so equality is isomorphism either way.
+    The key is the minimum adjacency bitstring over the vertex orderings
+    that list the colour classes of the stable degree refinement in order.
     """
-    refined = _force_refined or g.p > 8
-    return (g.p, _rows_to_mask(_canon_backtrack(g, refined)))
+    return (g.p, _rows_to_mask(_canon_backtrack(g)))
 
 
 # Backtracking steps one `automorphism_orbit` call may spend; candidates
@@ -599,7 +593,6 @@ _FAMILY_ARITY = {
     "lower-bound-witness": 1,
     "complete-minus-alpha": 2,
     "tree-enumeration": 1,
-    "custom": 0,
 }
 
 
@@ -635,6 +628,4 @@ class GraphFamilyTag:
             return [build_lower_bound_witness(params[0])[0]]
         if tag == "complete-minus-alpha":
             return list(enumerate_k_minus(params[0], params[1]))
-        if tag == "tree-enumeration":
-            return list(enumerate_trees(params[0]))
-        raise ValueError("custom family carries no generator")
+        return list(enumerate_trees(params[0]))

@@ -54,9 +54,6 @@ class VertexLabeling:
     def __len__(self) -> int:
         return len(self.values)
 
-    def shifted(self, c: int) -> "VertexLabeling":
-        return VertexLabeling(tuple(x + c for x in self.values))
-
 
 @dataclass(frozen=True)
 class Numbering:

@@ -334,7 +334,7 @@ def recheck_infinity_certificate(g: Graph, data: dict) -> InfinityCertificate:
     table / quadratic formula, and the strict inequality. No search code is
     involved (the clique is checked edge by edge, not re-found).
     """
-    cert = data if isinstance(data, InfinityCertificate) else InfinityCertificate.from_json_dict(data)
+    cert = InfinityCertificate.from_json_dict(data)
     m = cert.m
     if m < 5:
         raise CertificateError(f"clique size {m} below the minimum 5")

@@ -26,6 +26,7 @@ from semlab.graphs import (
 )
 from semlab.labelings import (
     LabelingError,
+    ModularLabeling,
     gap,
     recheck_sem_certificate,
     sum_set,
@@ -196,13 +197,18 @@ def test_09_sem_trees_are_harmonious_and_sequential():
     total = 0
     for n in range(2, 11):
         for tree in enumerate_trees(n):
-            if find_sem_labeling(tree, tree.p) is None:
+            f = find_sem_labeling(tree, tree.p)
+            if f is None:
                 continue  # would itself be a counterexample; criterion 7 catches it
             total += 1
             h = find_harmonious(tree)
             assert h is not None and verify_harmonious(tree, h)
             s = find_sequential(tree)
             assert s is not None and verify_sequential(tree, s)
+            # survey-trees reads both columns off f instead of searching.
+            assert s.values == tuple(x - 1 for x in f.values)
+            f_mod_q = ModularLabeling(tuple(x % tree.q for x in f.values), 1)
+            assert verify_harmonious(tree, f_mod_q)
     elapsed = time.monotonic() - t0
     report(9, f"{total} labeled trees of orders 2..10: harmonious and sequential ({elapsed:.1f}s)")
 

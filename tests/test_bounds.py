@@ -117,11 +117,6 @@ class TestPrismBounds:
         row = prism_bounds(7)
         assert (row.lower, row.upper, row.exact, row.status) == (0, 0, 0, "exact")
 
-    def test_injected_exact(self):
-        row = prism_bounds(6, exact=1)
-        assert row.exact == 1
-        assert row.status == "exact"
-
     def test_new_bound_strictly_improves_for_large_multiples_of_four(self):
         for n in range(8, 41, 4):
             row = prism_bounds(n)

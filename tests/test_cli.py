@@ -186,6 +186,8 @@ class TestEngineslCommands:
         assert code == 64
         code, _, _ = run(capsys, "tables", "--what", "nonsense")
         assert code == 64
+        code, _, _ = run(capsys, "strength", "--family", "custom")
+        assert code == 64
 
 
 def _no_labeling(g, max_label, budget):
@@ -194,6 +196,10 @@ def _no_labeling(g, max_label, budget):
 
 def _out_of_budget(g, max_label, budget):
     raise SearchBudgetExceeded("node limit exceeded")
+
+
+def _forbidden_search(*args):
+    raise AssertionError("survey-trees must not run this search")
 
 
 class TestSurvey:
@@ -261,7 +267,22 @@ class TestSurvey:
         assert message in err
         rows = [r.split(",") for r in out_file.read_text().strip().split("\n")[1:]]
         assert len(rows) == 4
-        assert all(r[3] == sem for r in rows)
+        # (harmonious, sequential) follow sem: a tree with no SEM labeling
+        # has no sequential one either, and says nothing about harmonious.
+        columns = {"none": ("unknown", "false"), "unknown": ("unknown", "unknown")}[sem]
+        assert all((r[3], r[6], r[7]) == (sem, *columns) for r in rows)
+
+    def test_columns_come_from_the_sem_witness(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "find_harmonious", _forbidden_search)
+        monkeypatch.setattr(cli, "find_sequential", _forbidden_search)
+        out_file = tmp_path / "survey.csv"
+        code, _, _ = run(
+            capsys, "survey-trees", "--max-n", "6", "--out", str(out_file)
+        )
+        assert code == 0
+        rows = [r.split(",") for r in out_file.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 13
+        assert all(r[5:8] == ["true"] * 3 for r in rows)
 
 
 class TestTables:

@@ -326,14 +326,12 @@ class TestCanonicalForm:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(3, 7), st.randoms(use_true_random=False))
     def test_refined_path_partitions_like_the_oracle(self, p, rnd):
-        # The degree-refined objective differs from the unrestricted one,
-        # but must induce the same isomorphism partition.
+        # The degree-refined key must induce the oracle's isomorphism
+        # partition.
         a = random_graph(rnd, p)
         b = random_graph(rnd, p)
-        same_refined = canonical_form(a, _force_refined=True) == canonical_form(
-            b, _force_refined=True
-        )
-        assert same_refined == (oracles.iso_key(a) == oracles.iso_key(b))
+        same = canonical_form(a) == canonical_form(b)
+        assert same == (oracles.iso_key(a) == oracles.iso_key(b))
 
     def test_refined_path_invariant_under_relabeling(self):
         rng = random.Random(5)
@@ -341,9 +339,7 @@ class TestCanonicalForm:
             g = random_graph(rng, 7, rng.random())
             perm = list(range(7))
             rng.shuffle(perm)
-            assert canonical_form(g, _force_refined=True) == canonical_form(
-                g.relabeled(perm), _force_refined=True
-            )
+            assert canonical_form(g) == canonical_form(g.relabeled(perm))
 
     def test_large_order_relabeling(self):
         rng = random.Random(99)
@@ -398,6 +394,8 @@ class TestFamilyTag:
             GraphFamilyTag("prism", ())
         with pytest.raises(ValueError):
             GraphFamilyTag("bogus", (3,))
+        with pytest.raises(ValueError):
+            GraphFamilyTag("custom", ())
 
     def test_builds(self):
         assert GraphFamilyTag("cycle", (5,)).build()[0] == build_cycle(5)

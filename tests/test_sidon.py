@@ -271,6 +271,10 @@ class TestCertify:
     def test_parse_rejects_non_object(self):
         with pytest.raises(CertificateError):
             InfinityCertificate.from_json_dict([0, 1, 2, 3, 4])
+        # A certificate object is not parsed JSON either.
+        g = build_complete(7)
+        with pytest.raises(CertificateError):
+            recheck_infinity_certificate(g, certify_infinite_deficiency(g))
 
     def test_recheck_rejects_incomplete_clique(self):
         g = complete_minus_edge(8)
