@@ -10,10 +10,10 @@ certificates of infinite deficiency.
 from .graphs import (
     Graph,
     Graph6Error,
-    GraphFamilyTag,
     bipartition,
     build_complete,
     build_cycle,
+    build_family,
     build_lower_bound_witness,
     build_path,
     build_prism,
@@ -34,7 +34,6 @@ from .labelings import (
     ModularLabeling,
     NonConsecutiveSumsError,
     NotBijectiveError,
-    Numbering,
     SemCertificate,
     VertexLabeling,
     gap,
@@ -64,7 +63,6 @@ from .sidon import (
     EXACT_RHO_STAR,
     CertificateError,
     InfinityCertificate,
-    WsSet,
     certify_infinite_deficiency,
     is_ws_set,
     kotzig_lower_bound,
@@ -77,11 +75,9 @@ from .sidon import (
 from .bounds import (
     LnBracket,
     PrismBoundRow,
-    UpperBoundResult,
     j_threshold,
     l_bracket,
     l_lower_bound,
-    l_upper_bound,
     prism_bounds,
 )
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .graphs import build_complete, enumerate_k_minus
 from .sidon import certify_infinite_deficiency
@@ -26,50 +25,8 @@ def l_lower_bound(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class UpperBoundResult:
-    """Certified upper bound for l(n): every graph of order n and size at
-    least `size` carries an infinite-deficiency certificate. `alpha` is the
-    number of edge deletions covered; `partial` means the enumeration was
-    cut off by the feasibility cap rather than by an uncertified graph."""
-
-    size: int
-    alpha: int
-    partial: bool
-
-
-def l_upper_bound(n: int, max_alpha: int = 4) -> Optional[UpperBoundResult]:
-    """Largest certified-everywhere size range below K_n, or None.
-
-    Checks K_n first (None if even K_n has no certificate), then increases
-    the deletion count beta while every member of K_n minus beta edges is
-    certified. Stops early, flagged partial, when beta would exceed
-    `max_alpha` or the n > 2*beta enumeration hypothesis.
-    """
-    if n < 5:
-        raise ValueError("upper bound needs n >= 5")
-    if certify_infinite_deficiency(build_complete(n)) is None:
-        return None
-    alpha = 0
-    partial = False
-    beta = 1
-    while True:
-        if beta > max_alpha or n <= 2 * beta:
-            partial = True
-            break
-        if all(
-            certify_infinite_deficiency(g) is not None
-            for g in enumerate_k_minus(n, beta)
-        ):
-            alpha = beta
-            beta += 1
-        else:
-            break
-    return UpperBoundResult(size=n * (n - 1) // 2 - alpha, alpha=alpha, partial=partial)
-
-
-@dataclass(frozen=True)
 class LnBracket:
-    """Bracket for l(n); `upper` is None when even K_n is uncertified."""
+    """Bracket for l(n), as `l_bracket` computes it."""
 
     n: int
     lower: int
@@ -90,16 +47,38 @@ class LnBracket:
 
 
 def l_bracket(n: int, max_alpha: int = 4) -> LnBracket:
-    """Assembled bracket row: constructive lower bound, certificate-driven
-    upper bound."""
+    """Bracket for l(n): the constructive lower bound, and the certified
+    upper bound.
+
+    The upper side is the size of K_n minus alpha edges, for the largest
+    alpha such that K_n and every graph K_n minus beta edges, beta <= alpha,
+    carry an infinite-deficiency certificate. It stops at the first beta
+    with an uncertified graph, or, flagged partial, when beta would exceed
+    `max_alpha` or the n > 2*beta enumeration hypothesis. `upper` is None
+    for n < 5 and when even K_n is uncertified.
+    """
     lower = l_lower_bound(n)
-    upper = l_upper_bound(n, max_alpha) if n >= 5 else None
+    upper = alpha = None
+    partial = False
+    if n >= 5 and certify_infinite_deficiency(build_complete(n)) is not None:
+        alpha = 0
+        while (
+            alpha < max_alpha
+            and n > 2 * (alpha + 1)
+            and all(
+                certify_infinite_deficiency(g) is not None
+                for g in enumerate_k_minus(n, alpha + 1)
+            )
+        ):
+            alpha += 1
+        partial = alpha >= max_alpha or n <= 2 * (alpha + 1)
+        upper = n * (n - 1) // 2 - alpha
     return LnBracket(
         n=n,
         lower=lower,
-        upper=None if upper is None else upper.size,
-        upper_alpha=None if upper is None else upper.alpha,
-        partial=upper.partial if upper is not None else False,
+        upper=upper,
+        upper_alpha=alpha,
+        partial=partial,
         provenance="lower: witness construction; upper: clique certificates",
     )
 
@@ -130,7 +109,7 @@ class PrismBoundRow:
 
     Odd n: exactly zero. Even n: at least 1 and at most n+1; `old_upper`
     is the previously published 3n/2 - 1 bound (n divisible by 4 only);
-    `exact` is filled for n = 4 and for injected search results.
+    `exact` is filled for odd n and, as a stored value, for n = 4.
     """
 
     n: int

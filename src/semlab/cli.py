@@ -27,7 +27,7 @@ from . import bounds as bounds_mod
 from .graphs import (
     Graph,
     Graph6Error,
-    GraphFamilyTag,
+    build_family,
     build_lower_bound_witness,
     emit_graph6,
     enumerate_trees,
@@ -114,7 +114,7 @@ def _load_graphs(args) -> list[Graph]:
             params = tuple(int(x) for x in args.params.split(","))
         except ValueError as exc:
             raise UsageError(f"bad --params: {exc}") from exc
-    return GraphFamilyTag(args.family, params).build()
+    return build_family(args.family, params)
 
 
 def _load_one_graph(args) -> Graph:
@@ -348,7 +348,7 @@ def _survey_rows(max_n: int, budget: SearchBudget):
                     verify_sem(tree, labeling)
                     row["sem"] = "finite0"
                     f, q = labeling.values, tree.q
-                    harmonious = ModularLabeling(tuple(x % q for x in f), 1)
+                    harmonious = ModularLabeling(tuple(x % q for x in f))
                     sequential = ModularLabeling(tuple(x - 1 for x in f))
                     row["harmonious"] = str(verify_harmonious(tree, harmonious)).lower()
                     row["sequential"] = str(verify_sequential(tree, sequential)).lower()

@@ -247,13 +247,6 @@ def _pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-def _edge_mask(g: Graph) -> int:
-    mask = 0
-    for u, v in g.edges:
-        mask |= 1 << _pair_index(u, v)
-    return mask
-
-
 def _refine_colors(g: Graph) -> list[int]:
     # Iterated degree refinement (colour = degree, then multiset of
     # neighbour colours), stabilised. Colour ids are assigned by sorted
@@ -556,76 +549,61 @@ def is_caterpillar(g: Graph) -> bool:
     return all((g.adj[v] & spine_mask).bit_count() <= 2 for v in spine)
 
 
-def bipartition(g: Graph) -> tuple[int, int] | None:
-    """Two-colouring as a pair of vertex bitmasks, or None if not bipartite.
+def bipartition(g: Graph) -> list[tuple[int, int]] | None:
+    """Two-colouring of each connected component, or None if not bipartite.
 
-    Within each connected component the side containing its smallest vertex
-    goes to the first mask, so the result is deterministic.
+    One pair of vertex bitmasks per component, components in order of their
+    smallest vertex; the side holding that vertex comes first.
     """
-    color = [-1] * g.p
-    side = [0, 0]
+    parts = []
+    seen = 0
     for s in range(g.p):
-        if color[s] != -1:
+        if seen >> s & 1:
             continue
-        color[s] = 0
-        side[0] |= 1 << s
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for u in g.neighbors(v):
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    side[color[u]] |= 1 << u
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-    return side[0], side[1]
+        # Breadth-first by layers; layer i goes to side i % 2. Neighbours of
+        # a layer lie in the layers next to it, so only an edge inside the
+        # layer can meet its own side.
+        sides = [1 << s, 0]
+        layer, k = 1 << s, 0
+        seen |= layer
+        while layer:
+            reach = 0
+            for v in _bits(layer):
+                reach |= g.adj[v]
+            if reach & sides[k]:
+                return None
+            k ^= 1
+            layer = reach & ~seen
+            sides[k] |= layer
+            seen |= layer
+        parts.append((sides[0], sides[1]))
+    return parts
 
 
 # ---------------------------------------------------------------------------
-# Family tags (CLI plumbing)
+# Named families by tag (CLI plumbing)
 # ---------------------------------------------------------------------------
 
-_FAMILY_ARITY = {
-    "cycle": 1,
-    "complete": 1,
-    "prism": 1,
-    "lower-bound-witness": 1,
-    "complete-minus-alpha": 2,
-    "tree-enumeration": 1,
+# tag -> (number of parameters, function returning the members)
+_FAMILIES = {
+    "cycle": (1, lambda n: [build_cycle(n)]),
+    "complete": (1, lambda n: [build_complete(n)]),
+    "prism": (1, lambda n: [build_prism(n)]),
+    "lower-bound-witness": (1, lambda n: [build_lower_bound_witness(n)[0]]),
+    "complete-minus-alpha": (2, lambda n, alpha: list(enumerate_k_minus(n, alpha))),
+    "tree-enumeration": (1, lambda n: list(enumerate_trees(n))),
 }
 
 
-class GraphFamilyTag:
-    """A named graph family plus integer parameters; validates arity."""
-
-    __slots__ = ("tag", "parameters")
-
-    def __init__(self, tag: str, parameters: Sequence[int] = ()):
-        if tag not in _FAMILY_ARITY:
-            raise ValueError(f"unknown family tag {tag!r}")
-        if len(parameters) != _FAMILY_ARITY[tag]:
-            raise ValueError(
-                f"family {tag!r} takes {_FAMILY_ARITY[tag]} parameter(s), "
-                f"got {len(parameters)}"
-            )
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "parameters", tuple(parameters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GraphFamilyTag is immutable")
-
-    def build(self) -> list[Graph]:
-        """Materialise the family members (singleton list for single graphs)."""
-        tag, params = self.tag, self.parameters
-        if tag == "cycle":
-            return [build_cycle(params[0])]
-        if tag == "complete":
-            return [build_complete(params[0])]
-        if tag == "prism":
-            return [build_prism(params[0])]
-        if tag == "lower-bound-witness":
-            return [build_lower_bound_witness(params[0])[0]]
-        if tag == "complete-minus-alpha":
-            return list(enumerate_k_minus(params[0], params[1]))
-        return list(enumerate_trees(params[0]))
+def build_family(tag: str, params: Sequence[int]) -> list[Graph]:
+    """Members of the named family: one graph, or every class the
+    enumeration families yield. Raises ValueError on an unknown tag or a
+    wrong parameter count."""
+    if tag not in _FAMILIES:
+        raise ValueError(f"unknown family tag {tag!r}")
+    arity, build = _FAMILIES[tag]
+    if len(params) != arity:
+        raise ValueError(
+            f"family {tag!r} takes {arity} parameter(s), got {len(params)}"
+        )
+    return build(*params)

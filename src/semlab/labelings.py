@@ -56,22 +56,6 @@ class VertexLabeling:
 
 
 @dataclass(frozen=True)
-class Numbering:
-    """Bijection of the p vertices onto [1, p]."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        vals = tuple(self.values)
-        object.__setattr__(self, "values", vals)
-        if sorted(vals) != list(range(1, len(vals) + 1)):
-            raise NotBijectiveError("numbering must be a bijection onto [1, p]")
-
-    def __getitem__(self, v: int) -> int:
-        return self.values[v]
-
-
-@dataclass(frozen=True)
 class GracefulLabeling:
     """Injective vertex map into [0, q]; `boundary` is the split value of a
     boundary-valuation (every edge has its smaller endpoint label <= boundary
@@ -94,35 +78,28 @@ class GracefulLabeling:
 
 @dataclass(frozen=True)
 class ModularLabeling:
-    """Vertex labels used modulo q; trees may repeat at most one value once."""
+    """Non-negative vertex labels of a harmonious or sequential labeling;
+    the verifiers check the ranges and repeats the graph allows."""
 
     values: tuple[int, ...]
-    repeat_allowance: int = 0
 
     def __post_init__(self):
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
-        if self.repeat_allowance not in (0, 1):
-            raise LabelingError("repeat allowance must be 0 or 1")
         if any(x < 0 for x in vals):
             raise LabelingError("labels must be >= 0")
-        extra = len(vals) - len(set(vals))
-        if extra > self.repeat_allowance:
-            raise LabelingError(
-                f"{extra} repeated labels exceed allowance {self.repeat_allowance}"
-            )
 
     def __getitem__(self, v: int) -> int:
         return self.values[v]
 
 
-Labels = Union[Sequence[int], VertexLabeling, Numbering, GracefulLabeling, ModularLabeling]
+Labels = Union[Sequence[int], VertexLabeling, GracefulLabeling, ModularLabeling]
 
 SumSet = tuple[int, ...]
 
 
 def _values(f: Labels) -> tuple[int, ...]:
-    if isinstance(f, (VertexLabeling, Numbering, GracefulLabeling, ModularLabeling)):
+    if isinstance(f, (VertexLabeling, GracefulLabeling, ModularLabeling)):
         return f.values
     return tuple(f)
 
@@ -322,24 +299,20 @@ def verify_alpha(g: Graph, f: Labels) -> int | None:
     return lo if lo < hi else None
 
 
-def _tree_allowance(g: Graph) -> int:
-    return 1 if is_tree(g) else 0
-
-
 def verify_harmonious(g: Graph, f: ModularLabeling) -> bool:
     """True iff the labels, taken modulo q, induce pairwise distinct edge
     sums modulo q. Trees get one repeated vertex label; other graphs none."""
     if g.q == 0:
         raise ValueError("harmonious labelings need at least one edge")
-    if f.repeat_allowance != _tree_allowance(g):
-        raise LabelingError(
-            "repeat allowance must be 1 for trees and 0 otherwise"
-        )
     vals = f.values
     if len(vals) < g.p:
         raise LabelingError(f"labeling covers {len(vals)} of {g.p} vertices")
     if any(not 0 <= x < g.q for x in vals[: g.p]):
         raise LabelingError(f"harmonious labels must lie in [0, {g.q - 1}]")
+    repeats = g.p - len(set(vals[: g.p]))
+    allowed = 1 if is_tree(g) else 0
+    if repeats > allowed:
+        raise LabelingError(f"{repeats} repeated labels, at most {allowed} allowed")
     residues = [(vals[u] + vals[v]) % g.q for u, v in g.edges]
     return len(set(residues)) == g.q
 
@@ -352,8 +325,6 @@ def verify_sequential(g: Graph, f: ModularLabeling) -> bool:
     """
     if g.q == 0:
         raise ValueError("sequential labelings need at least one edge")
-    if f.repeat_allowance != 0:
-        raise LabelingError("sequential labelings are injective")
     vals = f.values
     if len(vals) < g.p:
         raise LabelingError(f"labeling covers {len(vals)} of {g.p} vertices")

@@ -395,8 +395,9 @@ def find_alpha_valuation(
     """
     if g.q == 0:
         raise ValueError("boundary-valuation search needs at least one edge")
-    parts = bipartition(g)
-    if parts is None:
+    # One pair of side masks per component, each oriented independently.
+    comp_sides = bipartition(g)
+    if comp_sides is None:
         return None
     clock = _BudgetClock(budget)
     order = _search_order(g)
@@ -404,23 +405,6 @@ def find_alpha_valuation(
     # Row a holds |a - b| for every label b.
     base = [abs(x) for x in range(-q, q + 1)]
     diffs = [base[q - a : 2 * q + 1 - a] for a in range(q + 1)]
-
-    # Component side masks, each component orientable independently.
-    comp_sides: list[tuple[int, int]] = []
-    seen = 0
-    for s in range(p):
-        if seen >> s & 1:
-            continue
-        comp = 1 << s
-        frontier = 1 << s
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            grow = g.adj[v] & ~comp
-            comp |= grow
-            frontier |= grow
-        seen |= comp
-        comp_sides.append((comp & parts[0], comp & parts[1]))
 
     for boundary in range(q):
         below, above = range(boundary + 1), range(boundary + 1, q + 1)
@@ -480,7 +464,7 @@ def find_harmonious(
     labels = _first_labeling(
         g, _search_order(g), [range(q)] * p, residues, clock, allowance
     )
-    return None if labels is None else ModularLabeling(labels, allowance)
+    return None if labels is None else ModularLabeling(labels)
 
 
 def find_sequential(
@@ -495,6 +479,4 @@ def find_sequential(
     top = g.q if is_tree(g) else g.q - 1
     clock = _BudgetClock(budget)
     labels = _consecutive_sum_search(g, 0, top, clock)
-    if labels is None:
-        return None
-    return ModularLabeling(labels, 0)
+    return None if labels is None else ModularLabeling(labels)

@@ -30,29 +30,11 @@ class CertificateError(ValueError):
     """A serialized infinite-deficiency certificate fails re-validation."""
 
 
-@dataclass(frozen=True)
-class WsSet:
-    """Strictly increasing positive integers with pairwise-distinct sums."""
-
-    elements: tuple[int, ...]
-
-    def __post_init__(self):
-        elems = tuple(self.elements)
-        object.__setattr__(self, "elements", elems)
-        if not _strictly_increasing_positive(elems):
-            raise ValueError("elements must be strictly increasing positive integers")
-        if not _sums_distinct(elems):
-            raise ValueError("pairwise sums are not all distinct")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def _strictly_increasing_positive(xs: Sequence[int]) -> bool:
-    return all(x >= 1 for x in xs[:1]) and all(a < b for a, b in zip(xs, xs[1:]))
-
-
-def _sums_distinct(xs: Sequence[int]) -> bool:
+def is_ws_set(xs: Sequence[int]) -> bool:
+    """True iff the strictly increasing positive sequence is well spread."""
+    xs = list(xs)
+    if (xs and xs[0] < 1) or any(a >= b for a, b in zip(xs, xs[1:])):
+        raise ValueError("input must be strictly increasing positive integers")
     seen = 0
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
@@ -63,22 +45,12 @@ def _sums_distinct(xs: Sequence[int]) -> bool:
     return True
 
 
-def is_ws_set(xs: Sequence[int]) -> bool:
-    """True iff the strictly increasing positive sequence is well spread."""
-    xs = list(xs)
-    if not xs:
-        return True
-    if xs[0] < 1 or not _strictly_increasing_positive(xs):
-        raise ValueError("input must be strictly increasing positive integers")
-    return _sums_distinct(xs)
-
-
-def pairwise_sum_span(xs: Sequence[int] | WsSet) -> int:
+def pairwise_sum_span(xs: Sequence[int]) -> int:
     """Largest pairwise sum minus smallest, plus one."""
-    elems = xs.elements if isinstance(xs, WsSet) else tuple(xs)
-    if len(elems) < 2:
+    xs = tuple(xs)
+    if len(xs) < 2:
         raise ValueError("span needs at least two elements")
-    return elems[-1] + elems[-2] - elems[1] - elems[0] + 1
+    return xs[-1] + xs[-2] - xs[1] - xs[0] + 1
 
 
 def _greedy_ws_prefix(n: int) -> list[int]:
@@ -302,29 +274,18 @@ _INFINITY_FIELDS = {"clique": list, "m": int, "q": int, "rho_lower": int, "sourc
 def certify_infinite_deficiency(g: Graph) -> InfinityCertificate | None:
     """Emit an infinite-deficiency certificate if the clique criterion fires.
 
-    Finds an exact maximum clique, then takes the best justified lower
-    bound on rho_star over clique sizes 5..omega. Fires iff that bound
+    Finds an exact maximum clique and takes the best justified lower bound
+    on rho_star for its size omega >= 5; the bound never decreases with the
+    clique size, so no sub-clique does better. Fires iff that bound
     strictly exceeds the graph size q. Returning None proves nothing.
     """
     clique = max_clique(g)
-    omega = len(clique)
-    if omega < 5:
+    if len(clique) < 5:
         return None
-    best_bound = 0
-    best_m = 0
-    best_source = ""
-    for m in range(5, omega + 1):
-        try:
-            bound, source = rho_star_lower_bound(m)
-        except ValueError:
-            continue
-        if bound >= best_bound:
-            best_bound, best_m, best_source = bound, m, source
-    if best_bound <= g.q:
+    bound, source = rho_star_lower_bound(len(clique))
+    if bound <= g.q:
         return None
-    return InfinityCertificate(
-        clique=clique[:best_m], q=g.q, rho_lower=best_bound, source=best_source
-    )
+    return InfinityCertificate(clique=clique, q=g.q, rho_lower=bound, source=source)
 
 
 def recheck_infinity_certificate(g: Graph, data: dict) -> InfinityCertificate:

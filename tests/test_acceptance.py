@@ -207,7 +207,7 @@ def test_09_sem_trees_are_harmonious_and_sequential():
             assert s is not None and verify_sequential(tree, s)
             # survey-trees reads both columns off f instead of searching.
             assert s.values == tuple(x - 1 for x in f.values)
-            f_mod_q = ModularLabeling(tuple(x % tree.q for x in f.values), 1)
+            f_mod_q = ModularLabeling(tuple(x % tree.q for x in f.values))
             assert verify_harmonious(tree, f_mod_q)
     elapsed = time.monotonic() - t0
     report(9, f"{total} labeled trees of orders 2..10: harmonious and sequential ({elapsed:.1f}s)")

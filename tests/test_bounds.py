@@ -6,7 +6,6 @@ from semlab.bounds import (
     j_threshold,
     l_bracket,
     l_lower_bound,
-    l_upper_bound,
     prism_bounds,
 )
 from semlab.graphs import build_lower_bound_witness
@@ -31,28 +30,29 @@ class TestLLowerBound:
 
 class TestLUpperBound:
     def test_n5_exactly_pins_the_value(self):
-        res = l_upper_bound(5)
-        assert res is not None
-        assert (res.size, res.alpha) == (10, 0)
-        assert l_lower_bound(5) == 10  # bracket closes: the threshold is 10
+        res = l_bracket(5)
+        assert (res.upper, res.upper_alpha) == (10, 0)
+        assert res.lower == 10  # bracket closes: the threshold is 10
 
     def test_n8(self):
-        res = l_upper_bound(8)
-        assert (res.size, res.alpha, res.partial) == (27, 1, False)
+        res = l_bracket(8)
+        assert (res.upper, res.upper_alpha, res.partial) == (27, 1, False)
 
     def test_n21_reaches_alpha_two(self):
-        res = l_upper_bound(21, max_alpha=2)
-        assert (res.size, res.alpha, res.partial) == (208, 2, True)
+        res = l_bracket(21, max_alpha=2)
+        assert (res.upper, res.upper_alpha, res.partial) == (208, 2, True)
 
     def test_small_rejected(self):
+        res = l_bracket(4)
+        assert (res.upper, res.upper_alpha, res.partial) == (None, None, False)
         with pytest.raises(ValueError):
-            l_upper_bound(4)
+            l_bracket(3)
 
     @pytest.mark.parametrize("n", [7, 8, 9])
     def test_bracket_consistent(self, n):
-        res = l_upper_bound(n)
-        assert res is not None
-        assert l_lower_bound(n) <= res.size
+        res = l_bracket(n)
+        assert res.upper is not None
+        assert res.lower <= res.upper
 
     def test_bracket_rows(self):
         row = l_bracket(8).as_row()

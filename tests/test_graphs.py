@@ -11,10 +11,11 @@ import oracles
 from semlab.graphs import (
     Graph,
     Graph6Error,
-    GraphFamilyTag,
     automorphism_orbit,
+    bipartition,
     build_complete,
     build_cycle,
+    build_family,
     build_lower_bound_witness,
     build_path,
     build_prism,
@@ -34,6 +35,10 @@ from semlab.labelings import gap, sum_set
 def random_graph(rng: random.Random, p: int, density: float = 0.5) -> Graph:
     edges = [e for e in itertools.combinations(range(p), 2) if rng.random() < density]
     return Graph(p, edges)
+
+
+def members(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 class TestGraphType:
@@ -388,16 +393,53 @@ class TestAutomorphismOrbit:
                 assert automorphism_orbit(h, perm[v]) == moved
 
 
+class TestBipartition:
+    def test_disconnected_forest(self):
+        # Path 0-5-6-2, path 1-3-4, isolated 7: one pair per component, in
+        # order of the smallest vertex, whose side comes first.
+        g = Graph(8, [(0, 5), (5, 6), (6, 2), (1, 3), (3, 4)])
+        assert bipartition(g) == [
+            (1 << 0 | 1 << 6, 1 << 5 | 1 << 2),
+            (1 << 1 | 1 << 4, 1 << 3),
+            (1 << 7, 0),
+        ]
+
+    def test_odd_cycle(self):
+        assert bipartition(build_cycle(5)) is None
+        # The odd cycle on 2..6 comes after a bipartite component.
+        g = Graph(7, [(0, 1)] + [(2 + i, 2 + (i + 1) % 5) for i in range(5)])
+        assert bipartition(g) is None
+
+    def test_matches_networkx(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            g = random_graph(rng, 8, rng.random() * 0.4)
+            parts = bipartition(g)
+            ref = nx.Graph(g.edges)
+            ref.add_nodes_from(range(g.p))
+            assert (parts is not None) == nx.is_bipartite(ref)
+            if parts is None:
+                continue
+            comps = sorted(sorted(c) for c in nx.connected_components(ref))
+            assert [members(a | b) for a, b in parts] == comps
+            for a, b in parts:
+                comp = a | b
+                assert not a & b and a >> members(comp)[0] & 1
+                for u, v in g.edges:
+                    if comp >> u & 1:
+                        assert (a >> u & 1) != (a >> v & 1)
+
+
 class TestFamilyTag:
     def test_arity_checked(self):
         with pytest.raises(ValueError):
-            GraphFamilyTag("prism", ())
+            build_family("prism", ())
         with pytest.raises(ValueError):
-            GraphFamilyTag("bogus", (3,))
+            build_family("bogus", (3,))
         with pytest.raises(ValueError):
-            GraphFamilyTag("custom", ())
+            build_family("custom", ())
 
     def test_builds(self):
-        assert GraphFamilyTag("cycle", (5,)).build()[0] == build_cycle(5)
-        assert len(GraphFamilyTag("complete-minus-alpha", (6, 2)).build()) == 2
-        assert len(GraphFamilyTag("tree-enumeration", (7,)).build()) == 11
+        assert build_family("cycle", (5,)) == [build_cycle(5)]
+        assert len(build_family("complete-minus-alpha", (6, 2))) == 2
+        assert len(build_family("tree-enumeration", (7,))) == 11

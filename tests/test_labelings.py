@@ -262,26 +262,29 @@ class TestHarmonious:
         assert verify_harmonious(build_cycle(3), ModularLabeling((0, 1, 2)))
 
     def test_tree_repeat_allowed(self):
-        assert verify_harmonious(build_path(3), ModularLabeling((0, 1, 1), 1))
+        assert verify_harmonious(build_path(3), ModularLabeling((0, 1, 1)))
 
     def test_tree_collision(self):
-        assert not verify_harmonious(build_path(3), ModularLabeling((0, 1, 0), 1))
+        assert not verify_harmonious(build_path(3), ModularLabeling((0, 1, 0)))
 
     def test_allowance_must_match(self):
+        # The verifier derives the repeat allowance from the graph:
+        # a tree may repeat one label, any other graph none.
         with pytest.raises(LabelingError):
-            verify_harmonious(build_cycle(3), ModularLabeling((0, 1, 2), 1))
-        with pytest.raises(LabelingError):
-            verify_harmonious(build_path(3), ModularLabeling((0, 1, 2), 0))
+            verify_harmonious(build_cycle(3), ModularLabeling((0, 0, 1)))
+        assert verify_harmonious(build_path(4), ModularLabeling((0, 1, 1, 2)))
 
     def test_residue_out_of_range(self):
         with pytest.raises(LabelingError):
             verify_harmonious(build_cycle(3), ModularLabeling((0, 1, 3)))
 
     def test_repeat_allowance_validated_in_type(self):
+        # The type checks only that labels are >= 0; repeats beyond the
+        # graph's allowance are refused by the verifier.
         with pytest.raises(LabelingError):
-            ModularLabeling((0, 0, 1), 0)
+            ModularLabeling((0, -1, 1))
         with pytest.raises(LabelingError):
-            ModularLabeling((0, 0, 1, 1), 1)
+            verify_harmonious(build_path(4), ModularLabeling((0, 0, 1, 1)))
 
 
 class TestSequential:
@@ -296,7 +299,7 @@ class TestSequential:
 
     def test_injective_required(self):
         with pytest.raises(LabelingError):
-            verify_sequential(build_path(3), ModularLabeling((0, 1, 1), 1))
+            verify_sequential(build_path(3), ModularLabeling((0, 1, 1)))
 
     def test_tree_top_label_allowed(self):
         # Order-3 path: labels live in [0, 2] = [0, q] because p = q + 1.
@@ -318,8 +321,7 @@ class TestSequential:
             if not verify_sequential(g, ModularLabeling(labels)):
                 continue
             reduced = tuple(x % g.q for x in labels)
-            allowance = 1 if g.q == g.p - 1 else 0
-            assert verify_harmonious(g, ModularLabeling(reduced, allowance))
+            assert verify_harmonious(g, ModularLabeling(reduced))
 
 
 class TestGracefulLabelingType:

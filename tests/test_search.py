@@ -405,9 +405,7 @@ class TestSequential:
             for t in enumerate_trees(n):
                 f = find_sequential(t)
                 assert f is not None
-                reduced = ModularLabeling(
-                    tuple(x % t.q for x in f.values), 1 if is_tree(t) else 0
-                )
+                reduced = ModularLabeling(tuple(x % t.q for x in f.values))
                 assert verify_harmonious(t, reduced)
 
 

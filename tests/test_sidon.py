@@ -15,7 +15,6 @@ from semlab.sidon import (
     EXACT_RHO_STAR,
     CertificateError,
     InfinityCertificate,
-    WsSet,
     certify_infinite_deficiency,
     is_ws_set,
     kotzig_lower_bound,
@@ -45,11 +44,6 @@ class TestWsSets:
             is_ws_set((2, 1, 3))
         with pytest.raises(ValueError):
             is_ws_set((0, 1, 2))
-
-    def test_type_validates(self):
-        WsSet((1, 2, 3, 5, 8))
-        with pytest.raises(ValueError):
-            WsSet((1, 2, 3, 4))
 
     @settings(max_examples=150)
     @given(st.sets(st.integers(1, 60), min_size=2, max_size=7))
@@ -209,6 +203,16 @@ class TestCertify:
         cert = certify_infinite_deficiency(build_complete(m))
         assert cert is not None
         assert cert.source == "exact"
+
+    def test_whole_clique_gives_the_best_bound(self):
+        # The bound never decreases with the cardinality, so no sub-clique
+        # of a maximum clique certifies more than the whole clique does.
+        bounds = [rho_star_lower_bound(m)[0] for m in range(5, 61)]
+        assert bounds == sorted(bounds)
+        for m in range(5, 61):
+            cert = certify_infinite_deficiency(build_complete(m))
+            assert cert.clique == tuple(range(m))
+            assert (cert.rho_lower, cert.source) == rho_star_lower_bound(m)
 
     def test_emitted_certificates_recheck(self):
         for g in [
