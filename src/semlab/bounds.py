@@ -33,7 +33,6 @@ class LnBracket:
     upper: int | None
     upper_alpha: int | None
     partial: bool
-    provenance: str
 
     def as_row(self) -> dict:
         return {
@@ -42,7 +41,7 @@ class LnBracket:
             "upper": "" if self.upper is None else self.upper,
             "upper_alpha": "" if self.upper_alpha is None else self.upper_alpha,
             "status": "partial" if self.partial else "complete",
-            "provenance": self.provenance,
+            "provenance": "lower: witness construction; upper: clique certificates",
         }
 
 
@@ -79,7 +78,6 @@ def l_bracket(n: int, max_alpha: int = 4) -> LnBracket:
         upper=upper,
         upper_alpha=alpha,
         partial=partial,
-        provenance="lower: witness construction; upper: clique certificates",
     )
 
 
@@ -127,6 +125,11 @@ class PrismBoundRow:
             "old_upper": "" if self.old_upper is None else self.old_upper,
             "exact": "" if self.exact is None else self.exact,
             "status": self.status,
+            "provenance": (
+                "odd cycle: exactly zero"
+                if self.lower == 0
+                else "bracket [1, n+1]; previous bound 3n/2-1 when 4 | n"
+            ),
         }
 
 

@@ -78,24 +78,6 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(node_limit=args.node_limit, time_limit=args.time_limit)
 
 
-def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--node-limit", type=int, default=None)
-    sub.add_argument("--time-limit", type=float, default=None)
-
-
-def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--graph6", help="graph6 text for one graph")
-    sub.add_argument("--file", help="path to a file with one graph6 line per graph")
-    sub.add_argument(
-        "--family",
-        help="named family tag (cycle, complete, prism, lower-bound-witness, "
-        "complete-minus-alpha, tree-enumeration)",
-    )
-    sub.add_argument(
-        "--params", help="comma-separated integer parameters for --family"
-    )
-
-
 def _load_graphs(args) -> list[Graph]:
     sources = [s for s in (args.graph6, args.file, args.family) if s]
     if len(sources) != 1:
@@ -125,18 +107,26 @@ def _load_one_graph(args) -> Graph:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        sys.stdout.write(text)
 
 
-def _print_result(args, human: str, payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(human)
+def _report(
+    args, code: int, human: str, payload: dict | list, saved: dict | None = None
+) -> int:
+    """The one way a result leaves a subcommand: `saved` goes to the --out
+    file, then the --json payload or the human text goes to stdout."""
+    if args.out and saved is not None:
+        _emit(args, json.dumps(saved, indent=2) + "\n")
+    print(json.dumps(payload, indent=2) if args.json else human)
+    return code
+
+
+def _clique_text(cert) -> str:
+    return f"clique {cert.m}, bound {cert.rho_lower} > size {cert.q}"
 
 
 # ---------------------------------------------------------------------------
@@ -146,183 +136,110 @@ def _print_result(args, human: str, payload: dict) -> None:
 
 def cmd_verify(args) -> int:
     g = _load_one_graph(args)
+    if args.labels and args.cert:
+        raise UsageError("give --labels or --cert, not both")
     if args.cert:
         with open(args.cert, encoding="ascii") as fh:
             data = json.load(fh)
+    elif args.labels:
         try:
-            if isinstance(data, dict) and "clique" in data:
-                cert = recheck_infinity_certificate(g, data)
-                _print_result(
-                    args,
-                    f"valid infinite-deficiency certificate: clique {cert.m}, "
-                    f"bound {cert.rho_lower} > size {cert.q}",
-                    {"valid": True, "kind": "infinite", **cert.to_json_dict()},
-                )
-            else:
-                cert = recheck_sem_certificate(g, data)
-                _print_result(
-                    args,
-                    f"valid certificate: s={cert.s} k={cert.k}",
-                    {"valid": True, "kind": "sem", **cert.to_json_dict()},
-                )
-        except (LabelingError, CertificateError) as exc:
-            _print_result(args, f"invalid: {exc}", {"valid": False, "reason": str(exc)})
-            return EXIT_INVALID
-        return EXIT_OK
-    if not args.labels:
+            labels = tuple(int(x) for x in args.labels.split(","))
+        except ValueError as exc:
+            raise UsageError(f"bad --labels: {exc}") from exc
+    else:
         raise UsageError("verify needs --labels or --cert")
     try:
-        labels = tuple(int(x) for x in args.labels.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad --labels: {exc}") from exc
-    try:
-        cert = verify_sem(g, labels, args.isolated)
-    except LabelingError as exc:
-        _print_result(args, f"invalid: {exc}", {"valid": False, "reason": str(exc)})
-        return EXIT_INVALID
-    if args.out:
-        _emit(args, cert.to_json())
-    _print_result(
-        args,
-        f"super edge-magic: s={cert.s} k={cert.k} sums {cert.sums[0]}..{cert.sums[-1]}"
-        if cert.sums
-        else f"super edge-magic (edgeless): k={cert.k}",
-        {"valid": True, **cert.to_json_dict()},
-    )
-    return EXIT_OK
+        if not args.cert:
+            cert = verify_sem(g, labels, args.isolated)
+        elif isinstance(data, dict) and "clique" in data:
+            cert = recheck_infinity_certificate(g, data)
+        else:
+            cert = recheck_sem_certificate(g, data)
+    except (LabelingError, CertificateError) as exc:
+        failure = {"valid": False, "reason": str(exc)}
+        return _report(args, EXIT_INVALID, f"invalid: {exc}", failure)
+    fields = cert.to_json_dict()
+    if not args.cert:
+        human = (
+            f"super edge-magic: s={cert.s} k={cert.k} sums {cert.sums[0]}..{cert.sums[-1]}"
+            if cert.sums
+            else f"super edge-magic (edgeless): k={cert.k}"
+        )
+        return _report(args, EXIT_OK, human, {"valid": True, **fields}, fields)
+    if "clique" in fields:
+        kind, human = "infinite", f"valid infinite-deficiency certificate: {_clique_text(cert)}"
+    else:
+        kind, human = "sem", f"valid certificate: s={cert.s} k={cert.k}"
+    return _report(args, EXIT_OK, human, {"valid": True, "kind": kind, **fields})
 
 
 def cmd_deficiency(args) -> int:
-    g = _load_one_graph(args)
-    result = deficiency(g, args.cap, _budget(args))
+    result = deficiency(_load_one_graph(args), args.cap, _budget(args))
     if result.kind == "finite":
-        if args.out:
-            _emit(args, result.witness.to_json())
-        _print_result(
-            args,
-            f"deficiency: finite {result.value}",
-            {"kind": "finite", "value": result.value, "witness": result.witness.to_json_dict()},
-        )
-        return EXIT_OK
+        saved = result.witness.to_json_dict()
+        payload = {"kind": "finite", "value": result.value, "witness": saved}
+        return _report(args, EXIT_OK, f"deficiency: finite {result.value}", payload, saved)
     if result.kind == "infinite":
-        if args.out:
-            _emit(args, result.certificate.to_json())
-        _print_result(
-            args,
-            f"deficiency: infinite (clique {result.certificate.m}, "
-            f"bound {result.certificate.rho_lower} > size {result.certificate.q})",
-            {"kind": "infinite", "certificate": result.certificate.to_json_dict()},
-        )
-        return EXIT_OK
-    if result.reason == "budget":
-        human = (
-            f"deficiency: unknown (budget ran out at extra {result.searched_cap}; "
-            f"deficiency >= {result.lower})"
-        )
-    else:
-        human = f"deficiency: unknown (cap {result.searched_cap})"
-    _print_result(
-        args,
-        human,
-        {
-            "kind": "unknown",
-            "reason": result.reason,
-            "searched_cap": result.searched_cap,
-            "lower": result.lower,
-        },
+        saved = result.certificate.to_json_dict()
+        payload = {"kind": "infinite", "certificate": saved}
+        human = f"deficiency: infinite ({_clique_text(result.certificate)})"
+        return _report(args, EXIT_OK, human, payload, saved)
+    why = (
+        f"budget ran out at extra {result.searched_cap}; deficiency >= {result.lower}"
+        if result.reason == "budget"
+        else f"cap {result.searched_cap}"
     )
-    return EXIT_UNKNOWN
+    payload = {
+        "kind": "unknown",
+        "reason": result.reason,
+        "searched_cap": result.searched_cap,
+        "lower": result.lower,
+    }
+    return _report(args, EXIT_UNKNOWN, f"deficiency: unknown ({why})", payload)
 
 
 def cmd_strength(args) -> int:
-    g = _load_one_graph(args)
-    value = strength(g, _budget(args))
-    _print_result(args, f"strength: {value}", {"strength": value})
-    return EXIT_OK
+    value = strength(_load_one_graph(args), _budget(args))
+    return _report(args, EXIT_OK, f"strength: {value}", {"strength": value})
 
 
-def cmd_alpha(args) -> int:
-    g = _load_one_graph(args)
-    labeling = find_alpha_valuation(g, _budget(args))
+def _search_command(args, search, kind: str) -> int:
+    """alpha, harmonious and sequential: one labeling search on one graph."""
+    labeling = search(_load_one_graph(args), _budget(args))
     if labeling is None:
-        _print_result(
-            args,
-            "no boundary-valuation exists",
-            {"found": False},
-        )
-        return EXIT_NEGATIVE
-    payload = {
-        "found": True,
-        "labels": list(labeling.values),
-        "boundary": labeling.boundary,
-    }
-    if args.out:
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    _print_result(
-        args,
-        f"boundary-valuation: labels {','.join(map(str, labeling.values))} "
-        f"boundary {labeling.boundary}",
-        payload,
-    )
-    return EXIT_OK
-
-
-def _modular_command(args, searcher, kind: str) -> int:
-    g = _load_one_graph(args)
-    labeling = searcher(g, _budget(args))
-    if labeling is None:
-        _print_result(args, f"no {kind} labeling exists", {"found": False})
-        return EXIT_NEGATIVE
+        return _report(args, EXIT_NEGATIVE, f"no {kind} exists", {"found": False})
     payload = {"found": True, "labels": list(labeling.values)}
-    if args.out:
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    _print_result(
-        args,
-        f"{kind} labeling: {','.join(map(str, labeling.values))}",
-        payload,
-    )
-    return EXIT_OK
-
-
-def cmd_harmonious(args) -> int:
-    return _modular_command(args, find_harmonious, "harmonious")
-
-
-def cmd_sequential(args) -> int:
-    return _modular_command(args, find_sequential, "sequential")
+    labels = ",".join(map(str, labeling.values))
+    if kind == "boundary-valuation":
+        payload["boundary"] = labeling.boundary
+        labels = f"labels {labels} boundary {labeling.boundary}"
+    return _report(args, EXIT_OK, f"{kind}: {labels}", payload, payload)
 
 
 def cmd_rho_star(args) -> int:
     value = rho_star(args.n, _budget(args))
-    _print_result(args, f"rho-star({args.n}) = {value}", {"n": args.n, "rho_star": value})
-    return EXIT_OK
+    payload = {"n": args.n, "rho_star": value}
+    return _report(args, EXIT_OK, f"rho-star({args.n}) = {value}", payload)
 
 
 def cmd_certify_infinite(args) -> int:
     graphs = _load_graphs(args)
-    certified = 0
-    payloads = []
-    for idx, g in enumerate(graphs):
-        cert = certify_infinite_deficiency(g)
+    if args.out and len(graphs) > 1:
+        raise UsageError(f"certify-infinite --out needs exactly one graph, got {len(graphs)}")
+    certs = [certify_infinite_deficiency(g) for g in graphs]
+    lines, payloads = [], []
+    for g, cert in zip(graphs, certs):
+        name = emit_graph6(g)
         if cert is None:
-            payloads.append({"graph": emit_graph6(g), "certified": False})
-            if not args.json:
-                print(f"{emit_graph6(g)}: no certificate (finiteness is NOT implied)")
+            lines.append(f"{name}: no certificate (finiteness is NOT implied)")
+            payloads.append({"graph": name, "certified": False})
         else:
-            certified += 1
-            payloads.append(
-                {"graph": emit_graph6(g), "certified": True, **cert.to_json_dict()}
-            )
-            if not args.json:
-                print(
-                    f"{emit_graph6(g)}: infinite deficiency (clique {cert.m}, "
-                    f"bound {cert.rho_lower} > size {cert.q})"
-                )
-            if args.out and len(graphs) == 1:
-                _emit(args, cert.to_json())
-    if args.json:
-        print(json.dumps(payloads if len(payloads) > 1 else payloads[0], indent=2))
-    return EXIT_OK if certified == len(graphs) else EXIT_NEGATIVE
+            lines.append(f"{name}: infinite deficiency ({_clique_text(cert)})")
+            payloads.append({"graph": name, "certified": True, **cert.to_json_dict()})
+    code = EXIT_OK if all(cert is not None for cert in certs) else EXIT_NEGATIVE
+    payload = payloads if len(payloads) > 1 else payloads[0]
+    saved = certs[0].to_json_dict() if certs[0] is not None else None
+    return _report(args, code, "\n".join(lines), payload, saved)
 
 
 def _survey_rows(max_n: int, budget: SearchBudget):
@@ -388,29 +305,22 @@ def cmd_survey_trees(args) -> int:
         )
     rows = list(_survey_rows(args.max_n, _budget(args)))
     _write_table(args, _SURVEY_COLUMNS, rows)
-    # A tree proven not SEM (`none`) refutes the conjecture that all trees
-    # are SEM, so it fails the survey like any other violated expectation.
+    # A row passes when its SEM search ran out of budget, or when it found a
+    # witness and no checked column is `false`; it is fully decided when all
+    # three read `true`. A tree proven not SEM (`none`) refutes the conjecture
+    # that all trees are SEM, so it fails the survey like any other violation.
+    verdicts = [
+        (row["sem"], {row[c] for c in ("strength_matches", "harmonious", "sequential")})
+        for row in rows
+    ]
     ok = all(
-        row["sem"] == "unknown"
-        or (
-            row["sem"] == "finite0"
-            and row["strength_matches"] in ("true", "unknown")
-            and row["harmonious"] in ("true", "unknown")
-            and row["sequential"] in ("true", "unknown")
-        )
-        for row in rows
+        sem == "unknown" or (sem == "finite0" and "false" not in seen)
+        for sem, seen in verdicts
     )
-    exact = sum(
-        1
-        for row in rows
-        if row["sem"] == "finite0"
-        and row["strength_matches"] == "true"
-        and row["harmonious"] == "true"
-        and row["sequential"] == "true"
-    )
+    decided = sum(sem == "finite0" and seen == {"true"} for sem, seen in verdicts)
     print(
         f"survey: {len(rows)} trees; expectations verified for all "
-        f"{exact} fully-decided rows"
+        f"{decided} fully-decided rows"
         if ok
         else f"survey: {len(rows)} trees; EXPECTATION VIOLATED, inspect the table",
         file=sys.stderr,
@@ -427,56 +337,34 @@ def _write_table(args, columns: list[str], rows: list[dict]) -> None:
     _emit(args, buf.getvalue())
 
 
+def _rho_star_row(n: int) -> dict:
+    return {
+        "n": n,
+        "exact": EXACT_RHO_STAR[n],
+        "kotzig": kotzig_lower_bound(n) if n >= 7 else "",
+        "provenance": "exact search; quadratic bound shown for n >= 7",
+    }
+
+
 def cmd_tables(args) -> int:
-    lo, hi = args.n_min, args.n_max
-    if args.what == "prism":
-        lo = 3 if lo is None else lo
-        hi = 12 if hi is None else hi
-        rows = [bounds_mod.prism_bounds(n).as_row() for n in range(lo, hi + 1)]
-        for row in rows:
-            row["provenance"] = (
-                "odd cycle: exactly zero"
-                if row["lower"] == 0
-                else "bracket [1, n+1]; previous bound 3n/2-1 when 4 | n"
-            )
-        _write_table(
-            args,
-            ["n", "lower", "upper", "old_upper", "exact", "status", "provenance"],
-            rows,
-        )
-        return EXIT_OK
-    if args.what == "rho-star":
-        lo = 2 if lo is None else lo
-        hi = 10 if hi is None else hi
-        if not 2 <= lo <= hi <= max(EXACT_RHO_STAR):
-            raise UsageError(
-                f"rho-star table covers n in [2, {max(EXACT_RHO_STAR)}]"
-            )
-        rows = [
-            {
-                "n": n,
-                "exact": EXACT_RHO_STAR[n],
-                "kotzig": kotzig_lower_bound(n) if n >= 7 else "",
-                "provenance": "exact search; quadratic bound shown for n >= 7",
-            }
-            for n in range(lo, hi + 1)
-        ]
-        _write_table(args, ["n", "exact", "kotzig", "provenance"], rows)
-        return EXIT_OK
-    if args.what == "l-bounds":
-        lo = 4 if lo is None else lo
-        hi = 8 if hi is None else hi
-        rows = []
-        for n in range(lo, hi + 1):
-            bracket = bounds_mod.l_bracket(n, max_alpha=args.max_alpha)
-            rows.append(bracket.as_row())
-        _write_table(
-            args,
-            ["n", "lower", "upper", "upper_alpha", "status", "provenance"],
-            rows,
-        )
-        return EXIT_OK
-    raise UsageError(f"unknown table selector {args.what!r}")
+    # selector: default n range, CSV columns, row for one n
+    lo, hi, columns, row = {
+        "prism": (
+            3, 12, ["n", "lower", "upper", "old_upper", "exact", "status", "provenance"],
+            lambda n: bounds_mod.prism_bounds(n).as_row(),
+        ),
+        "rho-star": (2, 10, ["n", "exact", "kotzig", "provenance"], _rho_star_row),
+        "l-bounds": (
+            4, 8, ["n", "lower", "upper", "upper_alpha", "status", "provenance"],
+            lambda n: bounds_mod.l_bracket(n, max_alpha=args.max_alpha).as_row(),
+        ),
+    }[args.what]
+    lo = lo if args.n_min is None else args.n_min
+    hi = hi if args.n_max is None else args.n_max
+    if args.what == "rho-star" and not 2 <= lo <= hi <= max(EXACT_RHO_STAR):
+        raise UsageError(f"rho-star table covers n in [2, {max(EXACT_RHO_STAR)}]")
+    _write_table(args, columns, [row(n) for n in range(lo, hi + 1)])
+    return EXIT_OK
 
 
 def cmd_witness_lower_bound(args) -> int:
@@ -490,20 +378,63 @@ def cmd_witness_lower_bound(args) -> int:
         "sums": list(sums),
         "gap": gap(sums),
     }
-    if args.out:
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    _print_result(
-        args,
+    human = (
         f"order {args.n} size {g.q} witness {emit_graph6(g)}: "
-        f"sums {sums[0]}..{sums[-1]} gap {gap(sums)}",
-        payload,
+        f"sums {sums[0]}..{sums[-1]} gap {gap(sums)}"
     )
-    return EXIT_OK
+    return _report(args, EXIT_OK, human, payload, payload)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+_GRAPH = (
+    ("--graph6", {"help": "graph6 text for one graph"}),
+    ("--file", {"help": "path to a file with one graph6 line per graph"}),
+    ("--family", {"help": "named family tag (cycle, complete, prism, lower-bound-witness, "
+                          "complete-minus-alpha, tree-enumeration)"}),
+    ("--params", {"help": "comma-separated integer parameters for --family"}),
+)
+_BUDGET = (
+    ("--node-limit", {"type": int, "default": None}),
+    ("--time-limit", {"type": float, "default": None}),
+)
+_OUT = (("--out", {}),)
+_JSON = (("--json", {"action": "store_true"}),)
+_N = (("--n", {"type": int, "required": True}),)
+
+# name, handler, help, then the arguments in order. The three searches are
+# looked up when called, so a patched module attribute takes effect.
+_COMMANDS = (
+    ("verify", cmd_verify, "check a labeling or re-check a certificate", _GRAPH + (
+        ("--labels", {"help": "comma-separated vertex labels"}),
+        ("--isolated", {"type": int, "default": 0}),
+        ("--cert", {"help": "certificate JSON file to re-check"}),
+    ) + _OUT + _JSON),
+    ("deficiency", cmd_deficiency, "exact super edge-magic deficiency",
+     _GRAPH + (("--cap", {"type": int, "default": 4}),) + _BUDGET + _OUT + _JSON),
+    ("strength", cmd_strength, "exact strength of a graph", _GRAPH + _BUDGET + _JSON),
+    ("alpha", lambda args: _search_command(args, find_alpha_valuation, "boundary-valuation"),
+     "search a graceful labeling with a boundary", _GRAPH + _BUDGET + _OUT + _JSON),
+    ("harmonious", lambda args: _search_command(args, find_harmonious, "harmonious labeling"),
+     "search a harmonious labeling", _GRAPH + _BUDGET + _OUT + _JSON),
+    ("sequential", lambda args: _search_command(args, find_sequential, "sequential labeling"),
+     "search a sequential labeling", _GRAPH + _BUDGET + _OUT + _JSON),
+    ("rho-star", cmd_rho_star, "exact minimum pairwise-sum span", _N + _BUDGET + _JSON),
+    ("certify-infinite", cmd_certify_infinite, "clique certificate of infinite deficiency",
+     _GRAPH + _OUT + _JSON),
+    ("survey-trees", cmd_survey_trees, "per-tree conjecture survey CSV",
+     (("--max-n", {"type": int, "required": True}),) + _BUDGET + _OUT),
+    ("tables", cmd_tables, "emit a bounds table as CSV", (
+        ("--what", {"choices": ["l-bounds", "prism", "rho-star"], "required": True}),
+        ("--n-min", {"type": int, "default": None}),
+        ("--n-max", {"type": int, "default": None}),
+        ("--max-alpha", {"type": int, "default": 2}),
+    ) + _OUT),
+    ("witness-lower-bound", cmd_witness_lower_bound,
+     "constructive dense finite-deficiency witness", _N + _OUT + _JSON),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -512,87 +443,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact search and certification for super edge-magic labelings.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("verify", help="check a labeling or re-check a certificate")
-    _add_graph_flags(sub)
-    sub.add_argument("--labels", help="comma-separated vertex labels")
-    sub.add_argument("--isolated", type=int, default=0)
-    sub.add_argument("--cert", help="certificate JSON file to re-check")
-    sub.add_argument("--out")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=cmd_verify)
-
-    sub = subs.add_parser("deficiency", help="exact super edge-magic deficiency")
-    _add_graph_flags(sub)
-    sub.add_argument("--cap", type=int, default=4)
-    _add_budget_flags(sub)
-    sub.add_argument("--out")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=cmd_deficiency)
-
-    sub = subs.add_parser("strength", help="exact strength of a graph")
-    _add_graph_flags(sub)
-    _add_budget_flags(sub)
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=cmd_strength)
-
-    sub = subs.add_parser("alpha", help="search a graceful labeling with a boundary")
-    _add_graph_flags(sub)
-    _add_budget_flags(sub)
-    sub.add_argument("--out")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=cmd_alpha)
-
-    sub = subs.add_parser("harmonious", help="search a harmonious labeling")
-    _add_graph_flags(sub)
-    _add_budget_flags(sub)
-    sub.add_argument("--out")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=cmd_harmonious)
-
-    sub = subs.add_parser("sequential", help="search a sequential labeling")
-    _add_graph_flags(sub)
-    _add_budget_flags(sub)
-    sub.add_argument("--out")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=cmd_sequential)
-
-    sub = subs.add_parser("rho-star", help="exact minimum pairwise-sum span")
-    sub.add_argument("--n", type=int, required=True)
-    _add_budget_flags(sub)
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=cmd_rho_star)
-
-    sub = subs.add_parser(
-        "certify-infinite", help="clique certificate of infinite deficiency"
-    )
-    _add_graph_flags(sub)
-    sub.add_argument("--out")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=cmd_certify_infinite)
-
-    sub = subs.add_parser("survey-trees", help="per-tree conjecture survey CSV")
-    sub.add_argument("--max-n", type=int, required=True)
-    _add_budget_flags(sub)
-    sub.add_argument("--out")
-    sub.set_defaults(func=cmd_survey_trees)
-
-    sub = subs.add_parser("tables", help="emit a bounds table as CSV")
-    sub.add_argument("--what", choices=["l-bounds", "prism", "rho-star"], required=True)
-    sub.add_argument("--n-min", type=int, default=None)
-    sub.add_argument("--n-max", type=int, default=None)
-    sub.add_argument("--max-alpha", type=int, default=2)
-    sub.add_argument("--out")
-    sub.set_defaults(func=cmd_tables)
-
-    sub = subs.add_parser(
-        "witness-lower-bound", help="constructive dense finite-deficiency witness"
-    )
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--out")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=cmd_witness_lower_bound)
-
+    for name, func, help_text, arguments in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(func=func, json=False, out=None)
     return parser
 
 

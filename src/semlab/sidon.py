@@ -161,8 +161,6 @@ def rho_star_lower_bound(m: int) -> tuple[int, str]:
     kotzig = kotzig_lower_bound(m) if m >= 7 else None
     if exact is not None and (kotzig is None or exact >= kotzig):
         return exact, "exact"
-    if kotzig is None:
-        raise ValueError(f"no stored bound for cardinality {m}")
     return kotzig, "kotzig"
 
 

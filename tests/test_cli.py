@@ -189,6 +189,27 @@ class TestEngineslCommands:
         code, _, _ = run(capsys, "strength", "--family", "custom")
         assert code == 64
 
+    def test_certify_infinite_out_needs_one_graph(self, capsys, tmp_path, monkeypatch):
+        # Refused before any certificate search, and no file is written.
+        monkeypatch.setattr(cli, "certify_infinite_deficiency", _forbidden_search)
+        out_file = tmp_path / "x.json"
+        argv = ["certify-infinite", "--family", "complete-minus-alpha", "--params", "21,2"]
+        code, out, err = run(capsys, *argv, "--out", str(out_file))
+        assert (code, out) == (64, "")
+        assert err == "usage error: certify-infinite --out needs exactly one graph, got 2\n"
+        assert not out_file.exists()
+
+    def test_verify_refuses_labels_with_cert(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "verify_sem", _forbidden_search)
+        monkeypatch.setattr(cli, "recheck_sem_certificate", _forbidden_search)
+        cert_file = tmp_path / "cert.json"
+        run(capsys, "deficiency", "--graph6", C4, "--cap", "2", "--out", str(cert_file))
+        code, out, err = run(
+            capsys, "verify", "--graph6", C4, "--labels", "1,2,3,4", "--cert", str(cert_file)
+        )
+        assert (code, out) == (64, "")
+        assert err == "usage error: give --labels or --cert, not both\n"
+
 
 def _no_labeling(g, max_label, budget):
     return None
@@ -315,3 +336,137 @@ class TestTables:
         _, out1, _ = run(capsys, "tables", "--what", "prism")
         _, out2, _ = run(capsys, "tables", "--what", "prism")
         assert out1 == out2
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+SEM_C3 = {"order": 3, "isolated": 0, "labels": [1, 2, 3], "sums": [3, 4, 5], "s": 3, "k": 9}
+SEM_C4 = {"order": 4, "isolated": 1, "labels": [1, 3, 2, 5, 4], "sums": [4, 5, 6, 7],
+          "s": 4, "k": 13}
+INF_K7 = {"clique": [0, 1, 2, 3, 4, 5, 6], "m": 7, "q": 21, "rho_lower": 30, "source": "exact"}
+ALPHA_D4 = {"found": True, "labels": [0, 4, 2, 12, 6, 3, 10, 1], "boundary": 3}
+WITNESS_5 = {"n": 5, "graph6": "Dv{", "size": 9, "labels": [1, 2, 3, 4, 7],
+             "sums": [3, 4, 5, 6, 7, 8, 9, 10, 11], "gap": 0}
+SURVEY_4 = (
+    "tree_id,order,is_caterpillar,sem,strength,strength_matches,harmonious,sequential,"
+    "conjecture3_slack\n"
+    "n2-000,2,true,finite0,3,true,true,true,0\n"
+    "n3-000,3,true,finite0,4,true,true,true,0\n"
+    "n4-000,4,true,finite0,5,true,true,true,0\n"
+    "n4-001,4,true,finite0,5,true,true,true,0\n"
+)
+PRISM_3_4 = (
+    "n,lower,upper,old_upper,exact,status,provenance\n"
+    "3,0,0,,0,exact,odd cycle: exactly zero\n"
+    '4,1,5,5,5,exact,"bracket [1, n+1]; previous bound 3n/2-1 when 4 | n"\n'
+)
+NOT_IMPLIED = "no certificate (finiteness is NOT implied)"
+
+# argv, exit code, stdout, stderr, and the --out file (o.json / o.csv), or
+# None where the call must write none.
+PINNED = [
+    (["verify", "--graph6", C3, "--labels", "1,2,3"], 0,
+     "super edge-magic: s=3 k=9 sums 3..5\n", "", None),
+    (["verify", "--graph6", C3, "--labels", "1,2,3", "--json"], 0,
+     _dumps({"valid": True, **SEM_C3}), "", None),
+    (["verify", "--graph6", C3, "--labels", "1,2,3", "--out", "o.json"], 0,
+     "super edge-magic: s=3 k=9 sums 3..5\n", "", _dumps(SEM_C3)),
+    (["verify", "--graph6", C4, "--labels", "1,2,3,4", "--out", "o.json"], 2,
+     "invalid: duplicate edge sums in (3, 5, 5, 7)\n", "", None),
+    (["verify", "--graph6", C4, "--labels", "1,2,3,4", "--json"], 2,
+     _dumps({"valid": False, "reason": "duplicate edge sums in (3, 5, 5, 7)"}), "", None),
+    (["verify", "--graph6", C4, "--cert", "sem.json", "--out", "o.json"], 0,
+     "valid certificate: s=4 k=13\n", "", None),
+    (["verify", "--graph6", C4, "--cert", "sem.json", "--json"], 0,
+     _dumps({"valid": True, "kind": "sem", **SEM_C4}), "", None),
+    (["verify", "--graph6", K7, "--cert", "inf.json"], 0,
+     "valid infinite-deficiency certificate: clique 7, bound 30 > size 21\n", "", None),
+    (["verify", "--graph6", K7, "--cert", "inf.json", "--json"], 0,
+     _dumps({"valid": True, "kind": "infinite", **INF_K7}), "", None),
+    (["verify", "--graph6", C3, "--cert", "sem.json"], 2,
+     "invalid: certificate order 4 != graph order 3\n", "", None),
+    (["verify", "--graph6", C3], 64, "", "usage error: verify needs --labels or --cert\n", None),
+    (["deficiency", "--graph6", C4, "--cap", "2", "--out", "o.json"], 0,
+     "deficiency: finite 1\n", "", _dumps(SEM_C4)),
+    (["deficiency", "--graph6", C4, "--cap", "2", "--json"], 0,
+     _dumps({"kind": "finite", "value": 1, "witness": SEM_C4}), "", None),
+    (["deficiency", "--graph6", K7, "--cap", "1", "--out", "o.json"], 0,
+     "deficiency: infinite (clique 7, bound 30 > size 21)\n", "", _dumps(INF_K7)),
+    (["deficiency", "--graph6", K7, "--cap", "1", "--json"], 0,
+     _dumps({"kind": "infinite", "certificate": INF_K7}), "", None),
+    (["deficiency", "--graph6", C4, "--cap", "0", "--out", "o.json"], 3,
+     "deficiency: unknown (cap 0)\n", "", None),
+    (["deficiency", "--graph6", C4, "--cap", "0", "--json"], 3,
+     _dumps({"kind": "unknown", "reason": "cap", "searched_cap": 0, "lower": 1}), "", None),
+    (["deficiency", "--family", "prism", "--params", "8", "--cap", "3", "--node-limit", "1000"],
+     3, "deficiency: unknown (budget ran out at extra 1; deficiency >= 1)\n", "", None),
+    (["strength", "--family", "prism", "--params", "4"], 0, "strength: 11\n", "", None),
+    (["strength", "--family", "prism", "--params", "4", "--json"], 0,
+     _dumps({"strength": 11}), "", None),
+    (["alpha", "--family", "prism", "--params", "4", "--out", "o.json"], 0,
+     "boundary-valuation: labels 0,4,2,12,6,3,10,1 boundary 3\n", "", _dumps(ALPHA_D4)),
+    (["alpha", "--family", "prism", "--params", "4", "--json"], 0, _dumps(ALPHA_D4), "", None),
+    (["alpha", "--family", "cycle", "--params", "3", "--out", "o.json"], 1,
+     "no boundary-valuation exists\n", "", None),
+    (["alpha", "--family", "cycle", "--params", "3", "--json"], 1,
+     _dumps({"found": False}), "", None),
+    (["harmonious", "--graph6", C3, "--out", "o.json"], 0, "harmonious labeling: 0,1,2\n", "",
+     _dumps({"found": True, "labels": [0, 1, 2]})),
+    (["harmonious", "--graph6", C3, "--json"], 0,
+     _dumps({"found": True, "labels": [0, 1, 2]}), "", None),
+    (["harmonious", "--graph6", C4], 1, "no harmonious labeling exists\n", "", None),
+    (["harmonious", "--graph6", C4, "--json"], 1, _dumps({"found": False}), "", None),
+    (["sequential", "--graph6", "A_", "--out", "o.json"], 0, "sequential labeling: 0,1\n", "",
+     _dumps({"found": True, "labels": [0, 1]})),
+    (["sequential", "--graph6", "A_", "--json"], 0,
+     _dumps({"found": True, "labels": [0, 1]}), "", None),
+    (["sequential", "--graph6", C4], 1, "no sequential labeling exists\n", "", None),
+    (["rho-star", "--n", "6"], 0, "rho-star(6) = 19\n", "", None),
+    (["rho-star", "--n", "6", "--json"], 0, _dumps({"n": 6, "rho_star": 19}), "", None),
+    (["rho-star", "--n", "10", "--node-limit", "10"], 3, "",
+     "budget exhausted: node limit exceeded after 11 nodes\n", None),
+    (["certify-infinite", "--graph6", K7, "--out", "o.json"], 0,
+     "F~~~w: infinite deficiency (clique 7, bound 30 > size 21)\n", "", _dumps(INF_K7)),
+    (["certify-infinite", "--graph6", K7, "--json"], 0,
+     _dumps({"graph": K7, "certified": True, **INF_K7}), "", None),
+    (["certify-infinite", "--graph6", C4, "--out", "o.json"], 1, f"Cl: {NOT_IMPLIED}\n", "",
+     None),
+    (["certify-infinite", "--family", "tree-enumeration", "--params", "4"], 1,
+     f"Ck: {NOT_IMPLIED}\nCs: {NOT_IMPLIED}\n", "", None),
+    (["certify-infinite", "--family", "tree-enumeration", "--params", "4", "--json"], 1,
+     _dumps([{"graph": "Ck", "certified": False}, {"graph": "Cs", "certified": False}]), "",
+     None),
+    (["witness-lower-bound", "--n", "5", "--out", "o.json"], 0,
+     "order 5 size 9 witness Dv{: sums 3..11 gap 0\n", "", _dumps(WITNESS_5)),
+    (["witness-lower-bound", "--n", "5", "--json"], 0, _dumps(WITNESS_5), "", None),
+    (["survey-trees", "--max-n", "4"], 0, SURVEY_4,
+     "survey: 4 trees; expectations verified for all 4 fully-decided rows\n", None),
+    (["survey-trees", "--max-n", "4", "--out", "o.csv"], 0, "",
+     "survey: 4 trees; expectations verified for all 4 fully-decided rows\n", SURVEY_4),
+    (["tables", "--what", "prism", "--n-min", "3", "--n-max", "4"], 0, PRISM_3_4, "", None),
+    (["tables", "--what", "prism", "--n-min", "3", "--n-max", "4", "--out", "o.csv"], 0, "",
+     "", PRISM_3_4),
+    (["tables", "--what", "rho-star", "--n-min", "2", "--n-max", "3"], 0,
+     "n,exact,kotzig,provenance\n"
+     "2,1,,exact search; quadratic bound shown for n >= 7\n"
+     "3,3,,exact search; quadratic bound shown for n >= 7\n", "", None),
+    (["tables", "--what", "l-bounds", "--n-min", "4", "--n-max", "5"], 0,
+     "n,lower,upper,upper_alpha,status,provenance\n"
+     "4,7,,,complete,lower: witness construction; upper: clique certificates\n"
+     "5,10,10,0,complete,lower: witness construction; upper: clique certificates\n", "", None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,stdout,stderr,saved", PINNED, ids=[" ".join(case[0]) for case in PINNED]
+)
+def test_pinned_bytes(capsys, tmp_path, monkeypatch, argv, code, stdout, stderr, saved):
+    # Exact bytes of stdout, stderr and the --out file, not substrings.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sem.json").write_text(_dumps(SEM_C4))
+    (tmp_path / "inf.json").write_text(_dumps(INF_K7))
+    assert run(capsys, *argv) == (code, stdout, stderr)
+    out_files = [p for p in (tmp_path / "o.json", tmp_path / "o.csv") if p.exists()]
+    assert [p.read_text() for p in out_files] == ([] if saved is None else [saved])

@@ -207,8 +207,11 @@ class TestCertify:
     def test_whole_clique_gives_the_best_bound(self):
         # The bound never decreases with the cardinality, so no sub-clique
         # of a maximum clique certifies more than the whole clique does.
-        bounds = [rho_star_lower_bound(m)[0] for m in range(5, 61)]
-        assert bounds == sorted(bounds)
+        # Every m >= 2 has a bound: the stored exact values cover m <= 10 and
+        # beat the quadratic bound there, which covers every m from 7 on.
+        bounds = [rho_star_lower_bound(m) for m in range(2, 61)]
+        assert [source for _, source in bounds] == ["exact"] * 9 + ["kotzig"] * 50
+        assert [b for b, _ in bounds] == sorted(b for b, _ in bounds)
         for m in range(5, 61):
             cert = certify_infinite_deficiency(build_complete(m))
             assert cert.clique == tuple(range(m))
