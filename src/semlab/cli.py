@@ -170,7 +170,7 @@ def cmd_verify(args) -> int:
         kind, human = "infinite", f"valid infinite-deficiency certificate: {_clique_text(cert)}"
     else:
         kind, human = "sem", f"valid certificate: s={cert.s} k={cert.k}"
-    return _report(args, EXIT_OK, human, {"valid": True, "kind": kind, **fields})
+    return _report(args, EXIT_OK, human, {"valid": True, "kind": kind, **fields}, fields)
 
 
 def cmd_deficiency(args) -> int:

@@ -242,11 +242,6 @@ def build_lower_bound_witness(n: int):
 # ---------------------------------------------------------------------------
 
 
-def _pair_index(i: int, j: int) -> int:
-    # Position of the pair (i, j), i < j, in column-major upper-triangle order.
-    return j * (j - 1) // 2 + i
-
-
 def _refine_colors(g: Graph) -> list[int]:
     # Iterated degree refinement (colour = degree, then multiset of
     # neighbour colours), stabilised. Colour ids are assigned by sorted
@@ -264,7 +259,7 @@ def _refine_colors(g: Graph) -> list[int]:
         colors = new
 
 
-def _canon_backtrack(g: Graph) -> list[int]:
+def _canon_backtrack(g: Graph) -> tuple[int, ...]:
     # Minimum row-bitstring sequence (row j = adjacency of the j-th placed
     # vertex to earlier ones) over vertex orderings, found by backtracking
     # with prefix pruning. Orderings are restricted to the colour-class
@@ -275,19 +270,16 @@ def _canon_backtrack(g: Graph) -> list[int]:
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
-    slot_color = []
-    for c in sorted(by_color):
-        slot_color.extend([c] * len(by_color[c]))
+    slot_color = sorted(colors)
 
-    best_rows: list[int] | None = None
-    chosen: list[int] = []
-    rows: list[int] = []
+    best = (1,)  # above every row tuple, as the first row is always 0
 
-    def rec(pos: int) -> None:
-        nonlocal best_rows
+    def rec(chosen: tuple[int, ...], rows: tuple[int, ...]) -> None:
+        nonlocal best
+        pos = len(chosen)
         if pos == p:
-            if best_rows is None or rows < best_rows:
-                best_rows = rows.copy()
+            if rows < best:
+                best = rows
             return
         for v in by_color[slot_color[pos]]:
             if v in chosen:
@@ -296,36 +288,22 @@ def _canon_backtrack(g: Graph) -> list[int]:
             for k, u in enumerate(chosen):
                 if g.adj[v] >> u & 1:
                     row |= 1 << k
-            if best_rows is not None and rows + [row] > best_rows[: pos + 1]:
-                continue
-            chosen.append(v)
-            rows.append(row)
-            rec(pos + 1)
-            chosen.pop()
-            rows.pop()
+            grown = rows + (row,)
+            if grown <= best[: pos + 1]:
+                rec(chosen + (v,), grown)
 
-    rec(0)
-    assert best_rows is not None
-    return best_rows
+    rec((), ())
+    return best
 
 
-def _rows_to_mask(rows: list[int]) -> int:
-    mask = 0
-    for j in range(1, len(rows)):
-        row = rows[j]
-        for i in range(j):
-            if row >> i & 1:
-                mask |= 1 << _pair_index(i, j)
-    return mask
+def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Canonical key (order, adjacency rows); equal iff graphs are isomorphic.
 
-
-def canonical_form(g: Graph) -> tuple[int, int]:
-    """Canonical key (order, edge bitmask); equal iff graphs are isomorphic.
-
-    The key is the minimum adjacency bitstring over the vertex orderings
-    that list the colour classes of the stable degree refinement in order.
+    Row j has bit k set when the j-th and k-th vertices are adjacent, k < j;
+    the key is the minimum row tuple over the orderings that list the
+    colour classes of the stable degree refinement in order.
     """
-    return (g.p, _rows_to_mask(_canon_backtrack(g)))
+    return (g.p, _canon_backtrack(g))
 
 
 # Backtracking steps one `automorphism_orbit` call may spend; candidates

@@ -11,6 +11,7 @@ concurrent use is safe.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -127,8 +128,54 @@ def is_consecutive(s: Iterable[int]) -> bool:
     return gap(s) == 0
 
 
+# JSON type per certificate field annotation, a string under postponed annotations.
+_JSON_TYPES = {"int": int, "str": str, "tuple[int, ...]": list}
+
+
+class Certificate:
+    """Strict JSON codec for a frozen dataclass certificate: one key per
+    field, in declaration order, and a tuple field as a list of ints.
+    Parsing takes only JSON integers for numbers (a bool or a float does not
+    count) and raises the class's `error`."""
+
+    error: type[ValueError] = LabelingError
+
+    @classmethod
+    def _json_types(cls) -> dict[str, type]:
+        return {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(cls)}
+
+    def to_json_dict(self) -> dict:
+        return {
+            key: list(getattr(self, key)) if kind is list else getattr(self, key)
+            for key, kind in self._json_types().items()
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+
+    @classmethod
+    def from_json_dict(cls, data):
+        fields = cls._json_types()
+        if not isinstance(data, dict) or data.keys() != fields.keys():
+            got = sorted(map(str, data)) if isinstance(data, dict) else type(data).__name__
+            raise cls.error(
+                f"malformed certificate: keys must be exactly {sorted(fields)}, got {got}"
+            )
+        for key, kind in fields.items():
+            value = data[key]
+            if type(value) is not kind or (
+                kind is list and any(type(x) is not int for x in value)
+            ):
+                want = "a list of integers" if kind is list else f"of type {kind.__name__}"
+                raise cls.error(f"malformed certificate: {key!r} must be {want}, got {value!r}")
+        return cls(**{
+            key: tuple(data[key]) if kind is list else data[key]
+            for key, kind in fields.items()
+        })
+
+
 @dataclass(frozen=True)
-class SemCertificate:
+class SemCertificate(Certificate):
     """Checkable witness that a graph plus `isolated` extra vertices is
     super edge-magic: a bijective labeling onto [1, order+isolated] whose
     edge sums are the consecutive run [s, s+q-1], with magic constant
@@ -140,50 +187,6 @@ class SemCertificate:
     sums: tuple[int, ...]
     s: int
     k: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "isolated": self.isolated,
-            "labels": list(self.labels),
-            "sums": list(self.sums),
-            "s": self.s,
-            "k": self.k,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "SemCertificate":
-        check_json_fields(data, _SEM_FIELDS, LabelingError)
-        return SemCertificate(
-            order=data["order"],
-            isolated=data["isolated"],
-            labels=tuple(data["labels"]),
-            sums=tuple(data["sums"]),
-            s=data["s"],
-            k=data["k"],
-        )
-
-
-_SEM_FIELDS = {"order": int, "isolated": int, "labels": list, "sums": list, "s": int, "k": int}
-
-
-def check_json_fields(data, fields: dict[str, type], error: type[ValueError]) -> None:
-    """Raise `error` unless `data` is a dict whose keys are exactly those of
-    `fields` and whose values have the listed types: `int` (a bool or a
-    float does not count), `str`, or `list`, which must hold ints only."""
-    if not isinstance(data, dict) or data.keys() != fields.keys():
-        got = sorted(map(str, data)) if isinstance(data, dict) else type(data).__name__
-        raise error(f"malformed certificate: keys must be exactly {sorted(fields)}, got {got}")
-    for key, kind in fields.items():
-        value = data[key]
-        if type(value) is not kind or (
-            kind is list and any(type(x) is not int for x in value)
-        ):
-            want = "a list of integers" if kind is list else f"of type {kind.__name__}"
-            raise error(f"malformed certificate: {key!r} must be {want}, got {value!r}")
 
 
 def verify_sem(g: Graph, f: Labels, isolated_count: int = 0) -> SemCertificate:

@@ -334,10 +334,11 @@ def strength(g: Graph, budget: SearchBudget | None = None) -> int:
     best = 2 * p  # above any achievable maximum sum
 
     labels = [0] * p
-    unlabeled = (1 << p) - 1
+    full = (1 << p) - 1
 
-    def assign(next_label: int, cur_max: int) -> None:
-        nonlocal best, unlabeled
+    def assign(next_label: int, cur_max: int, unlabeled: int) -> None:
+        # labels[v] is read only while v is labelled, so it is never reset.
+        nonlocal best
         if cur_max >= best:
             return
         if next_label == 0:
@@ -346,8 +347,7 @@ def strength(g: Graph, budget: SearchBudget | None = None) -> int:
         # Admissible bound: a labelled vertex with d unlabelled neighbours
         # will see a sum >= its label + d (labels below next_label are
         # distinct positive integers).
-        rest = (1 << p) - 1 - unlabeled
-        scan = rest
+        scan = full - unlabeled
         while scan:
             v = (scan & -scan).bit_length() - 1
             scan &= scan - 1
@@ -359,26 +359,20 @@ def strength(g: Graph, budget: SearchBudget | None = None) -> int:
                 continue
             clock.tick()
             realized = cur_max
-            ok = True
             nb = adj[v] & ~unlabeled
             while nb:
                 u = (nb & -nb).bit_length() - 1
                 nb &= nb - 1
                 s = next_label + labels[u]
                 if s >= best:
-                    ok = False
                     break
                 if s > realized:
                     realized = s
-            if not ok:
-                continue
-            labels[v] = next_label
-            unlabeled &= ~(1 << v)
-            assign(next_label - 1, realized)
-            unlabeled |= 1 << v
-            labels[v] = 0
+            else:
+                labels[v] = next_label
+                assign(next_label - 1, realized, unlabeled & ~(1 << v))
 
-    assign(p, 0)
+    assign(p, 0, full)
     return best
 
 

@@ -17,12 +17,11 @@ are frozen constants (reproduced by rho_star itself, see the test suite).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Graph
-from .labelings import check_json_fields
+from .labelings import Certificate
 from .search import SearchBudget, _BudgetClock
 
 
@@ -180,7 +179,7 @@ def max_clique(g: Graph) -> tuple[int, ...]:
         return ()
     adj = g.adj
     order = sorted(range(p), key=lambda v: (-adj[v].bit_count(), v))
-    best: list[int] = [order[0]]
+    best = (order[0],)
 
     def color_bound(cand: int) -> list[tuple[int, int]]:
         # Greedy colouring of the candidate set; returns (vertex, colour)
@@ -199,22 +198,21 @@ def max_clique(g: Graph) -> tuple[int, ...]:
                 out.append((v, color))
         return out
 
-    def expand(clique: list[int], cand: int) -> None:
+    def expand(clique: tuple[int, ...], cand: int) -> None:
         nonlocal best
         colored = color_bound(cand)
         for v, color in reversed(colored):
             if len(clique) + color <= len(best):
                 return
-            clique.append(v)
+            grown = clique + (v,)
             sub = cand & adj[v]
             if sub:
-                expand(clique, sub)
-            elif len(clique) > len(best):
-                best = clique.copy()
-            clique.pop()
+                expand(grown, sub)
+            elif len(grown) > len(best):
+                best = grown
             cand &= ~(1 << v)
 
-    expand([], (1 << p) - 1)
+    expand((), (1 << p) - 1)
     return tuple(sorted(best))
 
 
@@ -224,49 +222,24 @@ def max_clique(g: Graph) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class InfinityCertificate:
+class InfinityCertificate(Certificate):
     """Machine-checkable proof that a graph's super edge-magic deficiency is
     infinite: a clique whose well-spread sum span must exceed the graph's
     size, contradicting any consecutive-sums labeling."""
 
+    error = CertificateError
+
     clique: tuple[int, ...]
+    m: int
     q: int
     rho_lower: int
     source: str
 
-    @property
-    def m(self) -> int:
-        return len(self.clique)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "clique": list(self.clique),
-            "m": self.m,
-            "q": self.q,
-            "rho_lower": self.rho_lower,
-            "source": self.source,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "InfinityCertificate":
-        check_json_fields(data, _INFINITY_FIELDS, CertificateError)
-        cert = InfinityCertificate(
-            clique=tuple(data["clique"]),
-            q=data["q"],
-            rho_lower=data["rho_lower"],
-            source=data["source"],
-        )
-        if data["m"] != cert.m:
+    def __post_init__(self):
+        if self.m != len(self.clique):
             raise CertificateError(
-                f"stored m = {data['m']} but clique has {cert.m} vertices"
+                f"stored m = {self.m} but clique has {len(self.clique)} vertices"
             )
-        return cert
-
-
-_INFINITY_FIELDS = {"clique": list, "m": int, "q": int, "rho_lower": int, "source": str}
 
 
 def certify_infinite_deficiency(g: Graph) -> InfinityCertificate | None:
@@ -283,7 +256,9 @@ def certify_infinite_deficiency(g: Graph) -> InfinityCertificate | None:
     bound, source = rho_star_lower_bound(len(clique))
     if bound <= g.q:
         return None
-    return InfinityCertificate(clique=clique, q=g.q, rho_lower=bound, source=source)
+    return InfinityCertificate(
+        clique=clique, m=len(clique), q=g.q, rho_lower=bound, source=source
+    )
 
 
 def recheck_infinity_certificate(g: Graph, data: dict) -> InfinityCertificate:

@@ -378,14 +378,19 @@ PINNED = [
     (["verify", "--graph6", C4, "--labels", "1,2,3,4", "--json"], 2,
      _dumps({"valid": False, "reason": "duplicate edge sums in (3, 5, 5, 7)"}), "", None),
     (["verify", "--graph6", C4, "--cert", "sem.json", "--out", "o.json"], 0,
-     "valid certificate: s=4 k=13\n", "", None),
+     "valid certificate: s=4 k=13\n", "", _dumps(SEM_C4)),
     (["verify", "--graph6", C4, "--cert", "sem.json", "--json"], 0,
      _dumps({"valid": True, "kind": "sem", **SEM_C4}), "", None),
     (["verify", "--graph6", K7, "--cert", "inf.json"], 0,
      "valid infinite-deficiency certificate: clique 7, bound 30 > size 21\n", "", None),
+    (["verify", "--graph6", K7, "--cert", "inf.json", "--out", "o.json"], 0,
+     "valid infinite-deficiency certificate: clique 7, bound 30 > size 21\n", "",
+     _dumps(INF_K7)),
     (["verify", "--graph6", K7, "--cert", "inf.json", "--json"], 0,
      _dumps({"valid": True, "kind": "infinite", **INF_K7}), "", None),
     (["verify", "--graph6", C3, "--cert", "sem.json"], 2,
+     "invalid: certificate order 4 != graph order 3\n", "", None),
+    (["verify", "--graph6", C3, "--cert", "sem.json", "--out", "o.json"], 2,
      "invalid: certificate order 4 != graph order 3\n", "", None),
     (["verify", "--graph6", C3], 64, "", "usage error: verify needs --labels or --cert\n", None),
     (["deficiency", "--graph6", C4, "--cap", "2", "--out", "o.json"], 0,

@@ -255,6 +255,25 @@ class TestKMinus:
             matched += hits
         assert sorted(matched) == list(range(count))
 
+    def test_removed_edge_sets_are_pinned(self):
+        # Which representative each class keeps, and in which order.
+        expected = {
+            1: [((0, 1),)],
+            2: [((0, 1), (0, 2)), ((0, 1), (2, 3))],
+            3: [
+                ((0, 1), (0, 2), (0, 3)),
+                ((0, 1), (0, 2), (1, 2)),
+                ((0, 1), (0, 2), (1, 3)),
+                ((0, 1), (0, 2), (3, 4)),
+                ((0, 1), (2, 3), (4, 5)),
+            ],
+        }
+        for alpha, removed in expected.items():
+            n = 2 * alpha + 1
+            complete = set(itertools.combinations(range(n), 2))
+            got = [tuple(sorted(complete - set(g.edges))) for g in enumerate_k_minus(n, alpha)]
+            assert got == removed
+
     def test_grows_classes_edge_by_edge(self, monkeypatch):
         # Sweeping every 4-subset of K_8's edges would take 20,475 forms;
         # one-edge augmentation of the class representatives takes 232.

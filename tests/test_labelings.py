@@ -1,6 +1,7 @@
 """Labeling verifiers: sums, gaps, certificates, strength, graceful,
 harmonious, sequential."""
 
+import dataclasses
 import json
 
 import pytest
@@ -150,6 +151,10 @@ class TestCertificateSerialization:
         data = json.loads(cert.to_json())
         assert list(data) == ["order", "isolated", "labels", "sums", "s", "k"]
         assert SemCertificate.from_json_dict(data) == cert
+
+    def test_json_keys_are_the_fields_in_order(self):
+        data = verify_sem(build_cycle(4), [1, 3, 2, 5], 1).to_json_dict()
+        assert list(data) == [f.name for f in dataclasses.fields(SemCertificate)]
 
     def test_recheck_accepts(self):
         g = build_cycle(4)

@@ -17,6 +17,7 @@ from semlab.graphs import (
     build_star,
     enumerate_trees,
     is_tree,
+    parse_graph6,
 )
 from semlab.labelings import (
     ModularLabeling,
@@ -301,6 +302,23 @@ class TestStrength:
     def test_budget_raises(self):
         with pytest.raises(SearchBudgetExceeded):
             strength(build_complete(7), SearchBudget(node_limit=3))
+
+    @pytest.mark.parametrize(
+        "g, value, nodes",
+        [
+            (build_prism(4), 11, 92),
+            (build_prism(5), 13, 319),
+            (parse_graph6("IhCK?C@?G"), 11, 268),
+            (parse_graph6("IsaCCA?_?"), 11, 55),
+            (build_complete(5), 9, 15),
+        ],
+        ids=["prism4", "prism5", "tree10-a", "tree10-b", "K5"],
+    )
+    def test_exploration_is_pinned(self, g, value, nodes):
+        # The branch and bound explores exactly `nodes` nodes.
+        assert strength(g, SearchBudget(node_limit=nodes)) == value
+        with pytest.raises(SearchBudgetExceeded, match=f"exceeded after {nodes} nodes$"):
+            strength(g, SearchBudget(node_limit=nodes - 1))
 
 
 class TestAlphaValuation:

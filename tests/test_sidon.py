@@ -1,5 +1,6 @@
 """Well-spread sets, span search, max clique, and infinity certificates."""
 
+import dataclasses
 import itertools
 import os
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from semlab.graphs import Graph, build_complete, build_cycle, enumerate_k_minus
+from semlab.graphs import Graph, build_complete, build_cycle, build_prism, enumerate_k_minus
 from semlab.search import SearchBudget, SearchBudgetExceeded
 from semlab.sidon import (
     EXACT_RHO_STAR,
@@ -177,6 +178,19 @@ class TestMaxClique:
         for g in enumerate_k_minus(21, 2):
             assert len(max_clique(g)) in (19, 20)
 
+    @pytest.mark.parametrize(
+        "g, clique",
+        [
+            (build_prism(3), (3, 4, 5)),
+            (build_cycle(5), (3, 4)),
+            (list(enumerate_k_minus(8, 3))[1], (2, 3, 4, 5, 6, 7)),
+            (list(enumerate_k_minus(8, 3))[4], (1, 3, 5, 6, 7)),
+        ],
+        ids=["prism3", "C5", "K8-K3", "K8-3K2"],
+    )
+    def test_choice_among_maximum_cliques_is_pinned(self, g, clique):
+        assert max_clique(g) == clique
+
 
 class TestCertify:
     def test_k7(self):
@@ -274,6 +288,20 @@ class TestCertify:
         mutation(data)
         with pytest.raises(CertificateError):
             recheck_infinity_certificate(g, data)
+
+    def test_stored_m_must_match_the_clique(self):
+        with pytest.raises(CertificateError) as built:
+            InfinityCertificate(clique=(0, 1, 2, 3, 4), m=6, q=9, rho_lower=11, source="exact")
+        data = certify_infinite_deficiency(build_complete(5)).to_json_dict()
+        data["m"] = 6
+        with pytest.raises(CertificateError) as parsed:
+            InfinityCertificate.from_json_dict(data)
+        assert str(built.value) == str(parsed.value) == "stored m = 6 but clique has 5 vertices"
+
+    def test_json_keys_are_the_fields_in_order(self):
+        data = certify_infinite_deficiency(build_complete(7)).to_json_dict()
+        assert list(data) == [f.name for f in dataclasses.fields(InfinityCertificate)]
+        assert list(data) == ["clique", "m", "q", "rho_lower", "source"]
 
     def test_parse_rejects_non_object(self):
         with pytest.raises(CertificateError):
