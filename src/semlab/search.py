@@ -106,6 +106,7 @@ def _first_labeling(
     value: list,
     clock: _BudgetClock,
     repeats: int = 0,
+    sum_range: tuple[int, int] | None = None,
 ) -> Optional[tuple[int, ...]]:
     """The lexicographically first labeling along `order`, indexed by vertex,
     whose q edge values are pairwise distinct and fit in a window of q
@@ -118,6 +119,16 @@ def _first_labeling(
     labels in [0, q] and residues mod q always fit such a window, so that
     test cuts only sum labelings. One node is charged to `clock` per
     candidate that passes the label test.
+
+    `sum_range` = (a, b) is for the injective sum table (value[x][y] = x + y,
+    `order` by degree descending) when every valid labeling has its sums
+    in [a, b]. The sums outside start out as seen, so the duplicate test
+    rejects them. And each candidate that passes the sum tests must leave
+    Σ deg(v)·f(v) = q·s + q(q-1)/2 reachable for an s with a <= s <= b-q+1
+    and high-q+1 <= s <= low (low, high the extreme sums so far): the rest
+    of the weighted sum lies between the later degrees, in order, taking
+    the free labels from the bottom and from the top (rearrangement
+    inequality). These bounds are worked out once per set of used labels.
     """
     p, q = g.p, g.q
     pos_of = [0] * p
@@ -130,13 +141,41 @@ def _first_labeling(
     cands = [candidates[v] for v in order]
     labels = [0] * p
     tick = clock.tick
+    seen0 = bound_end = 0
+    if sum_range is not None:
+        a, b = sum_range
+        # Every sum outside [a, b]; the table's sums are below 2*len(value).
+        seen0 =((1 << 2 * len(value)) - 1) ^ ((1 << b + 1) - (1 << a))
+        deg = [g.degree(v) for v in order]
+        pool = sorted(set().union(*cands))
+        # The last position needs no bound: its span test settles the sum.
+        # With spare labels the bound also skips the positions whose later
+        # vertices share one degree: there it seldom cuts, and on regular
+        # graphs it would only slow every node down.
+        bound_end = p - 1 if len(pool) == p else max(0, deg.index(deg[-1]) - 1)
+        offset = q * (q - 1) // 2
+        s_top, s_bottom = q * (b - q + 1), q * a
+        rest: dict[int, tuple[int, int]] = {}
+
+        def rest_range(used: int, i: int) -> tuple[int, int]:
+            # Extremes of Σ deg·f over the positions after i, taking labels
+            # not in used, less q(q-1)/2 so that they compare with q·s.
+            free = [x for x in pool if not used >> x & 1]
+            later = deg[i + 1 :]
+            out = rest[used] = (
+                sum(d * x for d, x in zip(later, free)) - offset,
+                sum(d * x for d, x in zip(later, reversed(free))) - offset,
+            )
+            return out
 
     def place(
-        i: int, used: int, spare: int, seen: int, low: float, high: int
+        i: int, used: int, spare: int, seen: int, low: float, high: int,
+        weight: int,
     ) -> bool:
         if i == p:
             return True
         before = nbrs_before[i]
+        bounded = i < bound_end
         for c in cands[i]:
             if used >> c & 1 and not spare:
                 continue
@@ -155,15 +194,27 @@ def _first_labeling(
                     new_high = x
             else:
                 if new_high - new_low < q:
+                    w = weight
+                    if bounded:
+                        w += deg[i] * c
+                        nu = used | 1 << c
+                        least, most = rest.get(nu) or rest_range(nu, i)
+                        least += w
+                        most += w
+                        if (
+                            least > s_top or least > q * new_low
+                            or most < s_bottom or most < q * (new_high - q + 1)
+                        ):
+                            continue
                     labels[i] = c
                     if place(
                         i + 1, used | 1 << c, spare - (used >> c & 1),
-                        seen | add, new_low, new_high,
+                        seen | add, new_low, new_high, w,
                     ):
                         return True
         return False
 
-    if not place(0, 0, repeats, 0, math.inf, 0):
+    if not place(0, 0, repeats, seen0, math.inf, 0, 0):
         return None
     out = [0] * p
     for i, v in enumerate(order):
@@ -180,13 +231,18 @@ def _consecutive_sum_search(
     Returns labels indexed by vertex: the lexicographically first labeling
     along `_search_order`. Prunes on duplicate sums and on the sum span
     exceeding q (a q-element duplicate-free set is consecutive iff its span
-    is exactly q), and applies two rules that keep that first labeling:
+    is exactly q), and applies rules that keep that first labeling:
 
     - Counting: vertex v lies on deg(v) edges and the sums are s, ..., s+q-1,
       so sum_v deg(v)*f(v) = q*s + q(q-1)/2. By rearrangement the left side
       lies between the largest degrees taking the smallest labels and them
       taking the largest, and s lies in [2*lo + 1, 2*hi - q]. No integer s
       fitting both refutes the range before any node.
+    - Sum window and weighted-sum bound: the s that counting allows form
+      [s_min, s_max], so every sum lies in [s_min, s_max + q - 1]. The
+      kernel rejects the sums outside from the first edge on, and cuts a
+      candidate once the identity can no longer hold for an allowed s (see
+      `_first_labeling`).
     - Lex-leader: automorphisms and the complement f -> lo+hi-f map valid
       labelings to valid labelings, so the first one is no larger at the
       first position v0 than any of those images. Hence f(v0) <= (lo+hi)//2,
@@ -223,7 +279,9 @@ def _consecutive_sum_search(
         candidates[v0] = range(first, first + 1)
         for w in orbit:
             candidates[w] = range(first + 1, lo + hi - first + 1)
-        labels = _first_labeling(g, order, candidates, sums, clock)
+        labels = _first_labeling(
+            g, order, candidates, sums, clock, sum_range=(s_min, s_max + q - 1)
+        )
         if labels is not None:
             return labels
     return None
@@ -443,7 +501,13 @@ def find_harmonious(
     """Labeling into Z_q with pairwise distinct edge sums mod q, or None.
 
     Trees get one repeated vertex label (they have one more vertex than
-    residues); all other graphs are labelled injectively.
+    residues); all other graphs are labelled injectively. The witness is
+    the lexicographically first one along `_search_order`, and its first
+    vertex v0 gets 0: f -> f - f(v0) mod q shifts every sum alike and keeps
+    the repeats. Graham and Sloane's parity rule answers before any node:
+    with every degree even, the sums add up to an even number, but as q
+    distinct residues mod q they add up to q(q-1)/2 plus a multiple of q,
+    which is odd when q = 2 (mod 4).
     """
     if g.q == 0:
         raise ValueError("harmonious search needs at least one edge")
@@ -452,12 +516,15 @@ def find_harmonious(
     p, q = g.p, g.q
     if p - allowance > q:
         return None
+    if q % 4 == 2 and not any(d % 2 for d in g.degrees()):
+        return None
     # Row a holds (a + b) mod q for every label b.
     base = [x % q for x in range(2 * q)]
     residues = [base[a : a + q] for a in range(q)]
-    labels = _first_labeling(
-        g, _search_order(g), [range(q)] * p, residues, clock, allowance
-    )
+    order = _search_order(g)
+    candidates = [range(q)] * p
+    candidates[order[0]] = range(1)
+    labels = _first_labeling(g, order, candidates, residues, clock, allowance)
     return None if labels is None else ModularLabeling(labels)
 
 

@@ -1,5 +1,6 @@
 """Search engines against brute-force oracles, plus budget semantics."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -8,6 +9,7 @@ import pytest
 
 import oracles
 from semlab import graphs as graphs_mod
+from semlab import search as search_mod
 from semlab.graphs import (
     Graph,
     build_complete,
@@ -163,6 +165,20 @@ class TestLexFirstWitness:
             ref = oracles.brute_lexfirst_harmonious(g, degree_then_index(g))
             assert (mine and mine.values) == ref, g.edges
 
+    def test_tree_witnesses_are_pinned(self):
+        # One digest of the SEM and sequential witnesses of all 200 free
+        # trees of orders 2-10: a pruning rule that cut a valid labeling
+        # would change a witness, and with it the digest.
+        trees = [t for n in range(2, 11) for t in enumerate_trees(n)]
+        digest = hashlib.sha256()
+        for t in trees:
+            witnesses = (find_sem_labeling(t, t.p).values, find_sequential(t).values)
+            digest.update(repr(witnesses).encode())
+        assert len(trees) == 200
+        assert digest.hexdigest() == (
+            "b7ffce45845d77c06a2f505a54b25fedb680f61439ddef5762ed8c390f7c1831"
+        )
+
     def test_truncated_orbit_keeps_every_answer(self, monkeypatch):
         # With no step allowance no automorphism is proven, so the orbit of
         # v0 is v0 alone and only the complement rule is left.
@@ -187,14 +203,14 @@ def deficiency_cap7(g, budget):
     "search, g, nodes, witness",
     [
         (find_harmonious, build_path(10), 158, (5, 0, 0, 1, 2, 6, 7, 8, 3, 4)),
-        (find_harmonious, build_cycle(8), 31_584, None),
-        (find_harmonious, build_complete(5), 26_020, None),
-        (find_sequential, build_cycle(11), 41_796, (0, 5, 1, 6, 2, 7, 8, 3, 9, 4, 10)),
-        (find_sequential, build_prism(5), 76_090, (0, 2, 1, 3, 5, 9, 4, 6, 8, 7)),
-        (find_sequential, build_prism(4), 99_646, None),
+        (find_harmonious, build_cycle(8), 3_948, None),
+        (find_harmonious, build_complete(6), 66_461, None),
+        (find_sequential, build_cycle(11), 64, (0, 5, 1, 6, 2, 7, 8, 3, 9, 4, 10)),
+        (find_sequential, build_prism(5), 132, (0, 2, 1, 3, 5, 9, 4, 6, 8, 7)),
+        (find_sequential, build_prism(4), 87_714, None),
         (find_alpha_valuation, build_path(10), 841, (4, 5, 3, 6, 2, 7, 1, 8, 0, 9)),
         (find_alpha_valuation, build_prism(4), 825, (0, 4, 2, 12, 6, 3, 10, 1)),
-        (deficiency_cap7, build_prism(4), 217_734, (1, 5, 2, 8, 10, 3, 13, 4, 6, 7, 9, 11, 12)),
+        (deficiency_cap7, build_prism(4), 178_207, (1, 5, 2, 8, 10, 3, 13, 4, 6, 7, 9, 11, 12)),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
@@ -255,6 +271,15 @@ class TestDeficiency:
         assert (res.kind, res.reason, res.searched_cap, res.lower) == (
             "unknown", "budget", 1, 1
         )
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_even_prism_needs_one_isolated_vertex(self, n):
+        # Counting refutes extra 0; the witness at extra 1 re-checks, well
+        # inside the paper's bound of n + 1.
+        g = build_prism(n)
+        res = deficiency(g, 1, SearchBudget(node_limit=300_000))
+        assert (res.kind, res.value) == ("finite", 1)
+        assert verify_sem(g, res.witness.labels, 1) == res.witness
 
     def test_lower_bound_of_decided_results(self):
         assert deficiency(build_cycle(4), 4).lower == 1
@@ -367,6 +392,14 @@ class TestAlphaValuation:
         assert deficiency_upper_via_alpha(build_cycle(5)) is None
 
 
+class KernelRan(Exception):
+    pass
+
+
+def kernel_must_not_run(*args, **kwargs):
+    raise KernelRan
+
+
 class TestHarmonious:
     def test_c3(self):
         f = find_harmonious(build_cycle(3))
@@ -379,6 +412,32 @@ class TestHarmonious:
     def test_k2_repeat(self):
         f = find_harmonious(K2)
         assert f.values == (0, 0)
+
+    def test_k5_refuted_before_any_node(self, monkeypatch):
+        # Every degree is 4 and q = 10: the parity rule answers.
+        monkeypatch.setattr(search_mod, "_first_labeling", kernel_must_not_run)
+        assert find_harmonious(build_complete(5)) is None
+
+    def test_refutations_before_any_node_match_oracle(self, monkeypatch):
+        # Graham and Sloane: with every degree even, the q edge sums add up
+        # to an even number, but as the q residues mod q they add up to
+        # q(q-1)/2 plus a multiple of q, odd when q = 2 (mod 4). Seven graphs
+        # of order <= 6 meet that rule; p > q (+1 for trees) also answers.
+        monkeypatch.setattr(search_mod, "_first_labeling", kernel_must_not_run)
+        parity = 0
+        for g in oracles.atlas_graphs(6):
+            if g.q == 0:
+                continue
+            even = g.q % 4 == 2 and all(d % 2 == 0 for d in g.degrees())
+            parity += even
+            try:
+                mine = find_harmonious(g)
+            except KernelRan:
+                assert not even, g.edges
+                continue
+            assert mine is None
+            assert oracles.brute_harmonious(g) is None, g.edges
+        assert parity == 7
 
     def test_matches_oracle(self):
         for g in small_graph_corpus():
