@@ -29,15 +29,14 @@ from .graphs import (
 )
 from .labelings import (
     DuplicateSumsError,
-    GracefulLabeling,
+    Labeling,
     LabelingError,
-    ModularLabeling,
     NonConsecutiveSumsError,
     NotBijectiveError,
     SemCertificate,
-    VertexLabeling,
     gap,
     is_consecutive,
+    label_domain,
     recheck_sem_certificate,
     strength_of_numbering,
     sum_set,

@@ -36,10 +36,10 @@ from .graphs import (
 )
 from .labelings import (
     LabelingError,
-    ModularLabeling,
     gap,
     recheck_sem_certificate,
     sum_set,
+    verify_alpha,
     verify_harmonious,
     verify_sem,
     verify_sequential,
@@ -203,17 +203,30 @@ def cmd_strength(args) -> int:
     return _report(args, EXIT_OK, f"strength: {value}", {"strength": value})
 
 
-def _search_command(args, search, kind: str) -> int:
-    """alpha, harmonious and sequential: one labeling search on one graph."""
-    labeling = search(_load_one_graph(args), _budget(args))
+def _search_command(args, search, holds, kind: str) -> int:
+    """alpha, harmonious and sequential: one labeling search on one graph.
+    A witness is reported only once `holds(g, labeling)` re-checks it."""
+    g = _load_one_graph(args)
+    labeling = search(g, _budget(args))
     if labeling is None:
         return _report(args, EXIT_NEGATIVE, f"no {kind} exists", {"found": False})
-    payload = {"found": True, "labels": list(labeling.values)}
     labels = ",".join(map(str, labeling.values))
-    if kind == "boundary-valuation":
+    try:
+        if not holds(g, labeling):
+            raise LabelingError(f"{kind} {labels} fails its verifier")
+    except LabelingError as exc:
+        failure = {"valid": False, "reason": str(exc)}
+        return _report(args, EXIT_INVALID, f"invalid: {exc}", failure)
+    payload = {"found": True, "labels": list(labeling.values)}
+    if labeling.boundary is not None:
         payload["boundary"] = labeling.boundary
         labels = f"labels {labels} boundary {labeling.boundary}"
     return _report(args, EXIT_OK, f"{kind}: {labels}", payload, payload)
+
+
+def _has_boundary(g: Graph, labeling) -> bool:
+    # A boundary-valuation holds when the verifier finds its boundary.
+    return labeling.boundary is not None and verify_alpha(g, labeling) == labeling.boundary
 
 
 def cmd_rho_star(args) -> int:
@@ -265,10 +278,8 @@ def _survey_rows(max_n: int, budget: SearchBudget):
                     verify_sem(tree, labeling)
                     row["sem"] = "finite0"
                     f, q = labeling.values, tree.q
-                    harmonious = ModularLabeling(tuple(x % q for x in f))
-                    sequential = ModularLabeling(tuple(x - 1 for x in f))
-                    row["harmonious"] = str(verify_harmonious(tree, harmonious)).lower()
-                    row["sequential"] = str(verify_sequential(tree, sequential)).lower()
+                    row["harmonious"] = str(verify_harmonious(tree, [x % q for x in f])).lower()
+                    row["sequential"] = str(verify_sequential(tree, [x - 1 for x in f])).lower()
             try:
                 st = strength(tree, budget)
                 row["strength"] = st
@@ -415,11 +426,14 @@ _COMMANDS = (
     ("deficiency", cmd_deficiency, "exact super edge-magic deficiency",
      _GRAPH + (("--cap", {"type": int, "default": 4}),) + _BUDGET + _OUT + _JSON),
     ("strength", cmd_strength, "exact strength of a graph", _GRAPH + _BUDGET + _JSON),
-    ("alpha", lambda args: _search_command(args, find_alpha_valuation, "boundary-valuation"),
+    ("alpha", lambda args: _search_command(
+        args, find_alpha_valuation, _has_boundary, "boundary-valuation"),
      "search a graceful labeling with a boundary", _GRAPH + _BUDGET + _OUT + _JSON),
-    ("harmonious", lambda args: _search_command(args, find_harmonious, "harmonious labeling"),
+    ("harmonious", lambda args: _search_command(
+        args, find_harmonious, verify_harmonious, "harmonious labeling"),
      "search a harmonious labeling", _GRAPH + _BUDGET + _OUT + _JSON),
-    ("sequential", lambda args: _search_command(args, find_sequential, "sequential labeling"),
+    ("sequential", lambda args: _search_command(
+        args, find_sequential, verify_sequential, "sequential labeling"),
      "search a sequential labeling", _GRAPH + _BUDGET + _OUT + _JSON),
     ("rho-star", cmd_rho_star, "exact minimum pairwise-sum span", _N + _BUDGET + _JSON),
     ("certify-infinite", cmd_certify_infinite, "clique certificate of infinite deficiency",

@@ -232,9 +232,9 @@ def build_lower_bound_witness(n: int):
     edges += [(0, i) for i in range(1, a)]
     edges.append((a, a + b - 1))
     labels = tuple(range(1, a + 1)) + tuple(a * j + 1 for j in range(1, b + 1))
-    from .labelings import VertexLabeling
+    from .labelings import Labeling
 
-    return Graph(n, edges), VertexLabeling(labels)
+    return Graph(n, edges), Labeling(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +259,15 @@ def _refine_colors(g: Graph) -> list[int]:
         colors = new
 
 
-def _canon_backtrack(g: Graph) -> tuple[int, ...]:
-    # Minimum row-bitstring sequence (row j = adjacency of the j-th placed
-    # vertex to earlier ones) over vertex orderings, found by backtracking
-    # with prefix pruning. Orderings are restricted to the colour-class
-    # blocks of the stable degree refinement (still a sound canonical form:
-    # the colouring is an isomorphism invariant).
+def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Canonical key (order, adjacency rows); equal iff graphs are isomorphic.
+
+    Row j has bit k set when the j-th and k-th vertices are adjacent, k < j;
+    the key is the minimum row tuple over the orderings that list the
+    colour classes of the stable degree refinement in order (a sound
+    canonical form: the colouring is an isomorphism invariant), found by
+    backtracking with prefix pruning.
+    """
     p = g.p
     colors = _refine_colors(g)
     by_color: dict[int, list[int]] = {}
@@ -293,17 +296,7 @@ def _canon_backtrack(g: Graph) -> tuple[int, ...]:
                 rec(chosen + (v,), grown)
 
     rec((), ())
-    return best
-
-
-def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Canonical key (order, adjacency rows); equal iff graphs are isomorphic.
-
-    Row j has bit k set when the j-th and k-th vertices are adjacent, k < j;
-    the key is the minimum row tuple over the orderings that list the
-    colour classes of the stable degree refinement in order.
-    """
-    return (g.p, _canon_backtrack(g))
+    return (p, best)
 
 
 # Backtracking steps one `automorphism_orbit` call may spend; candidates
@@ -446,8 +439,8 @@ def _rooted_encoding(adj: list[list[int]], root: int, parent: int) -> str:
     return "(" + "".join(subs) + ")"
 
 
-def tree_canonical_encoding(adj: list[list[int]]) -> str:
-    """Canonical nested-parentheses encoding of a free tree (centre-rooted)."""
+def _tree_canonical_encoding(adj: list[list[int]]) -> str:
+    # Canonical nested-parentheses encoding of a free tree (centre-rooted).
     centers = _tree_centers(adj)
     return min(_rooted_encoding(adj, c, -1) for c in centers)
 
@@ -488,7 +481,7 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
             for v in range(g.p):
                 adj.append([v])
                 adj[v].append(g.p)
-                nxt.add(tree_canonical_encoding(adj))
+                nxt.add(_tree_canonical_encoding(adj))
                 adj[v].pop()
                 adj.pop()
         level = nxt

@@ -1,4 +1,4 @@
-"""Labeling value types and pure verifiers.
+"""The labeling value type and pure verifiers.
 
 Covers every labeling notion the library searches for: super edge-magic
 (via the consecutive-edge-sums criterion), gap of an integer set, strength
@@ -36,80 +36,68 @@ class NonConsecutiveSumsError(LabelingError):
 
 
 @dataclass(frozen=True)
-class VertexLabeling:
-    """Injective map vertex -> positive integer, stored as values[v]."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        vals = tuple(self.values)
-        object.__setattr__(self, "values", vals)
-        if any(x < 1 for x in vals):
-            raise LabelingError("vertex labels must be positive")
-        if len(set(vals)) != len(vals):
-            raise LabelingError("vertex labels must be injective")
-
-    def __getitem__(self, v: int) -> int:
-        return self.values[v]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class GracefulLabeling:
-    """Injective vertex map into [0, q]; `boundary` is the split value of a
-    boundary-valuation (every edge has its smaller endpoint label <= boundary
-    and its larger one > boundary)."""
+class Labeling:
+    """Vertex labels, stored as values[v]. Every notion here uses labels
+    >= 0; its verifier checks the range and the repeats it allows.
+    `boundary` is the split value of a boundary-valuation (every edge has
+    its smaller endpoint label <= boundary and its larger one > boundary),
+    and None for every other labeling."""
 
     values: tuple[int, ...]
     boundary: int | None = None
 
     def __post_init__(self):
-        vals = tuple(self.values)
-        object.__setattr__(self, "values", vals)
-        if len(set(vals)) != len(vals):
-            raise LabelingError("graceful labels must be injective")
-        if any(x < 0 for x in vals):
-            raise LabelingError("graceful labels must be >= 0")
-
-    def __getitem__(self, v: int) -> int:
-        return self.values[v]
-
-
-@dataclass(frozen=True)
-class ModularLabeling:
-    """Non-negative vertex labels of a harmonious or sequential labeling;
-    the verifiers check the ranges and repeats the graph allows."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        vals = tuple(self.values)
-        object.__setattr__(self, "values", vals)
-        if any(x < 0 for x in vals):
+        object.__setattr__(self, "values", tuple(self.values))
+        if any(x < 0 for x in self.values):
             raise LabelingError("labels must be >= 0")
 
-    def __getitem__(self, v: int) -> int:
-        return self.values[v]
+
+Labels = Union[Sequence[int], Labeling]
 
 
-Labels = Union[Sequence[int], VertexLabeling, GracefulLabeling, ModularLabeling]
+def label_domain(g: Graph, kind: str) -> tuple[int, int]:
+    """(top, repeats) of a `kind` labeling of g: its labels lie in
+    [0, top], and `repeats` of them may be used twice.
 
-SumSet = tuple[int, ...]
+    graceful: [0, q], injective. harmonious: the residues [0, q-1]; a tree
+    has one vertex more than residues, so it may repeat one label.
+    sequential: [0, q-1], injective; a tree also gets the label q.
+    """
+    if kind == "graceful":
+        return g.q, 0
+    tree = is_tree(g)
+    if kind == "harmonious":
+        return g.q - 1, int(tree)
+    if kind == "sequential":
+        return (g.q if tree else g.q - 1), 0
+    raise ValueError(f"unknown labeling kind {kind!r}")
 
 
 def _values(f: Labels) -> tuple[int, ...]:
-    if isinstance(f, (VertexLabeling, GracefulLabeling, ModularLabeling)):
-        return f.values
-    return tuple(f)
+    return f.values if isinstance(f, Labeling) else tuple(f)
 
 
-def sum_set(g: Graph, f: Labels) -> SumSet:
-    """Sorted multiset of the q edge sums f(u) + f(v)."""
+def _checked(g: Graph, f: Labels, kind: str | None = None) -> tuple[int, ...]:
+    """The labels of f, which must cover the p vertices of g; with `kind`,
+    the vertex labels must also keep to its `label_domain`."""
     vals = _values(f)
     if len(vals) < g.p:
         raise LabelingError(f"labeling covers {len(vals)} of {g.p} vertices")
+    if kind is not None:
+        top, allowed = label_domain(g, kind)
+        if any(not 0 <= x <= top for x in vals[: g.p]):
+            raise LabelingError(f"{kind} labels must lie in [0, {top}]")
+        repeats = g.p - len(set(vals[: g.p]))
+        if repeats > allowed:
+            raise LabelingError(
+                f"{kind} labels repeat {repeats} times, at most {allowed} allowed"
+            )
+    return vals
+
+
+def sum_set(g: Graph, f: Labels) -> tuple[int, ...]:
+    """Sorted multiset of the q edge sums f(u) + f(v)."""
+    vals = _checked(g, f)
     return tuple(sorted(vals[u] + vals[v] for u, v in g.edges))
 
 
@@ -209,18 +197,10 @@ def verify_sem(g: Graph, f: Labels, isolated_count: int = 0) -> SemCertificate:
             f"expected labels for {g.p} or {total} vertices, got {len(vals)}"
         )
     if len(set(vals)) != len(vals) or any(not 1 <= x <= total for x in vals):
-        raise NotBijectiveError(
-            f"labels are not injective into [1, {total}]"
-        )
-    if len(vals) == g.p:
-        leftover = sorted(set(range(1, total + 1)) - set(vals))
-        full = vals + tuple(leftover)
-    else:
-        full = vals
-    if sorted(full) != list(range(1, total + 1)):
-        raise NotBijectiveError(f"labels are not a bijection onto [1, {total}]")
-
-    sums = sum_set(g, full[: g.p])
+        raise NotBijectiveError(f"labels are not injective into [1, {total}]")
+    # The labels left over, ascending, make the injection a bijection.
+    full = vals + tuple(sorted(set(range(1, total + 1)) - set(vals)))
+    sums = sum_set(g, vals[: g.p])
     if g.q == 0:
         return SemCertificate(g.p, isolated_count, full, (), 0, total)
     if len(set(sums)) != len(sums):
@@ -275,13 +255,7 @@ def strength_of_numbering(g: Graph, f: Labels) -> int:
 def verify_graceful(g: Graph, f: Labels) -> bool:
     """True iff the injective labeling into [0, q] induces the edge
     differences {1, ..., q} exactly."""
-    vals = _values(f)
-    if len(vals) < g.p:
-        raise LabelingError(f"labeling covers {len(vals)} of {g.p} vertices")
-    if any(not 0 <= x <= g.q for x in vals[: g.p]):
-        raise LabelingError(f"graceful labels must lie in [0, {g.q}]")
-    if len(set(vals[: g.p])) != g.p:
-        raise LabelingError("graceful labels must be injective")
+    vals = _checked(g, f, "graceful")
     diffs = sorted(abs(vals[u] - vals[v]) for u, v in g.edges)
     return diffs == list(range(1, g.q + 1))
 
@@ -302,40 +276,22 @@ def verify_alpha(g: Graph, f: Labels) -> int | None:
     return lo if lo < hi else None
 
 
-def verify_harmonious(g: Graph, f: ModularLabeling) -> bool:
+def verify_harmonious(g: Graph, f: Labels) -> bool:
     """True iff the labels, taken modulo q, induce pairwise distinct edge
-    sums modulo q. Trees get one repeated vertex label; other graphs none."""
+    sums modulo q, within the harmonious `label_domain`."""
     if g.q == 0:
         raise ValueError("harmonious labelings need at least one edge")
-    vals = f.values
-    if len(vals) < g.p:
-        raise LabelingError(f"labeling covers {len(vals)} of {g.p} vertices")
-    if any(not 0 <= x < g.q for x in vals[: g.p]):
-        raise LabelingError(f"harmonious labels must lie in [0, {g.q - 1}]")
-    repeats = g.p - len(set(vals[: g.p]))
-    allowed = 1 if is_tree(g) else 0
-    if repeats > allowed:
-        raise LabelingError(f"{repeats} repeated labels, at most {allowed} allowed")
+    vals = _checked(g, f, "harmonious")
     residues = [(vals[u] + vals[v]) % g.q for u, v in g.edges]
     return len(set(residues)) == g.q
 
 
-def verify_sequential(g: Graph, f: ModularLabeling) -> bool:
-    """True iff the injective labels give q consecutive integer edge sums.
-
-    Labels live in [0, q-1]; for trees the top label q is also allowed
-    (an injection of p = q+1 vertices cannot fit in [0, q-1]).
-    """
+def verify_sequential(g: Graph, f: Labels) -> bool:
+    """True iff the labels, within the sequential `label_domain`, give q
+    consecutive integer edge sums."""
     if g.q == 0:
         raise ValueError("sequential labelings need at least one edge")
-    vals = f.values
-    if len(vals) < g.p:
-        raise LabelingError(f"labeling covers {len(vals)} of {g.p} vertices")
-    top = g.q if is_tree(g) else g.q - 1
-    if any(not 0 <= x <= top for x in vals[: g.p]):
-        raise LabelingError(f"sequential labels must lie in [0, {top}]")
-    if len(set(vals[: g.p])) != g.p:
-        raise LabelingError("sequential labels must be injective")
+    vals = _checked(g, f, "sequential")
     sums = sorted(vals[u] + vals[v] for u, v in g.edges)
     if len(set(sums)) != g.q:
         return False

@@ -22,14 +22,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, automorphism_orbit, bipartition, is_tree
-from .labelings import (
-    GracefulLabeling,
-    ModularLabeling,
-    SemCertificate,
-    VertexLabeling,
-    verify_sem,
-)
+from .graphs import Graph, automorphism_orbit, bipartition
+from .labelings import Labeling, SemCertificate, label_domain, verify_sem
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -289,7 +283,7 @@ def _consecutive_sum_search(
 
 def find_sem_labeling(
     g: Graph, max_label: int, budget: SearchBudget | None = None
-) -> Optional[VertexLabeling]:
+) -> Optional[Labeling]:
     """Injective labeling into [1, max_label] with consecutive edge sums.
 
     None means provably no such labeling exists; budget exhaustion raises
@@ -299,7 +293,7 @@ def find_sem_labeling(
         raise ValueError("max_label must be at least the graph order")
     clock = _BudgetClock(budget)
     labels = _consecutive_sum_search(g, 1, max_label, clock)
-    return VertexLabeling(labels) if labels is not None else None
+    return None if labels is None else Labeling(labels)
 
 
 @dataclass(frozen=True)
@@ -436,7 +430,7 @@ def strength(g: Graph, budget: SearchBudget | None = None) -> int:
 
 def find_alpha_valuation(
     g: Graph, budget: SearchBudget | None = None
-) -> Optional[GracefulLabeling]:
+) -> Optional[Labeling]:
     """Graceful labeling with a boundary value, or None.
 
     Boundary-valuations force every edge to straddle the boundary, so the
@@ -453,13 +447,14 @@ def find_alpha_valuation(
         return None
     clock = _BudgetClock(budget)
     order = _search_order(g)
-    p, q = g.p, g.q
+    p = g.p
+    top, _ = label_domain(g, "graceful")
     # Row a holds |a - b| for every label b.
-    base = [abs(x) for x in range(-q, q + 1)]
-    diffs = [base[q - a : 2 * q + 1 - a] for a in range(q + 1)]
+    base = [abs(x) for x in range(-top, top + 1)]
+    diffs = [base[top - a : 2 * top + 1 - a] for a in range(top + 1)]
 
-    for boundary in range(q):
-        below, above = range(boundary + 1), range(boundary + 1, q + 1)
+    for boundary in range(top):
+        below, above = range(boundary + 1), range(boundary + 1, top + 1)
         for flips in range(1 << len(comp_sides)):
             low_mask = 0
             low_count = 0
@@ -470,15 +465,15 @@ def find_alpha_valuation(
                 low_mask |= lo_side
                 low_count += lo_side.bit_count()
                 hi_count += hi_side.bit_count()
-            if low_count > boundary + 1 or hi_count > q - boundary:
+            if low_count > boundary + 1 or hi_count > top - boundary:
                 continue
             candidates = [
-                (below if low_mask >> v & 1 else above) if g.adj[v] else range(q + 1)
+                (below if low_mask >> v & 1 else above) if g.adj[v] else range(top + 1)
                 for v in range(p)
             ]
             labels = _first_labeling(g, order, candidates, diffs, clock)
             if labels is not None:
-                return GracefulLabeling(labels, boundary)
+                return Labeling(labels, boundary)
     return None
 
 
@@ -497,11 +492,12 @@ def deficiency_upper_via_alpha(
 
 def find_harmonious(
     g: Graph, budget: SearchBudget | None = None
-) -> Optional[ModularLabeling]:
+) -> Optional[Labeling]:
     """Labeling into Z_q with pairwise distinct edge sums mod q, or None.
 
-    Trees get one repeated vertex label (they have one more vertex than
-    residues); all other graphs are labelled injectively. The witness is
+    Labels and repeats come from the harmonious `label_domain`: trees get
+    one repeated vertex label (they have one more vertex than residues),
+    all other graphs are labelled injectively. The witness is
     the lexicographically first one along `_search_order`, and its first
     vertex v0 gets 0: f -> f - f(v0) mod q shifts every sum alike and keeps
     the repeats. Graham and Sloane's parity rule answers before any node:
@@ -511,10 +507,10 @@ def find_harmonious(
     """
     if g.q == 0:
         raise ValueError("harmonious search needs at least one edge")
-    allowance = 1 if is_tree(g) else 0
+    top, repeats = label_domain(g, "harmonious")
     clock = _BudgetClock(budget)
     p, q = g.p, g.q
-    if p - allowance > q:
+    if p - repeats > top + 1:
         return None
     if q % 4 == 2 and not any(d % 2 for d in g.degrees()):
         return None
@@ -522,22 +518,23 @@ def find_harmonious(
     base = [x % q for x in range(2 * q)]
     residues = [base[a : a + q] for a in range(q)]
     order = _search_order(g)
-    candidates = [range(q)] * p
+    candidates = [range(top + 1)] * p
     candidates[order[0]] = range(1)
-    labels = _first_labeling(g, order, candidates, residues, clock, allowance)
-    return None if labels is None else ModularLabeling(labels)
+    labels = _first_labeling(g, order, candidates, residues, clock, repeats)
+    return None if labels is None else Labeling(labels)
 
 
 def find_sequential(
     g: Graph, budget: SearchBudget | None = None
-) -> Optional[ModularLabeling]:
+) -> Optional[Labeling]:
     """Injective labeling whose integer edge sums are q consecutive values.
 
-    Labels come from [0, q-1], or [0, q] for trees (one extra vertex).
+    Labels come from the sequential `label_domain`: [0, q-1], or [0, q]
+    for trees (one extra vertex).
     """
     if g.q == 0:
         raise ValueError("sequential search needs at least one edge")
-    top = g.q if is_tree(g) else g.q - 1
+    top, _ = label_domain(g, "sequential")
     clock = _BudgetClock(budget)
     labels = _consecutive_sum_search(g, 0, top, clock)
-    return None if labels is None else ModularLabeling(labels)
+    return None if labels is None else Labeling(labels)

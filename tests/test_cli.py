@@ -7,7 +7,7 @@ import pytest
 from semlab import cli
 from semlab.cli import main
 from semlab.graphs import parse_graph6
-from semlab.labelings import recheck_sem_certificate
+from semlab.labelings import Labeling, recheck_sem_certificate
 from semlab.search import SearchBudgetExceeded
 from semlab.sidon import recheck_infinity_certificate
 
@@ -149,6 +149,31 @@ class TestEngineslCommands:
     def test_sequential(self, capsys):
         code, out, _ = run(capsys, "sequential", "--graph6", "A_")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "command,engine,graph,bad",
+        [
+            # On C4, 0,4,2,3 is graceful with boundary 2, and 0,1,2,3 is not
+            # graceful; on C3, 0,1,3 is graceful with no boundary at all.
+            ("alpha", "find_alpha_valuation", C4, Labeling((0, 4, 2, 3), 1)),
+            ("alpha", "find_alpha_valuation", C4, Labeling((0, 4, 2, 3))),
+            ("alpha", "find_alpha_valuation", C4, Labeling((0, 1, 2, 3), 0)),
+            ("alpha", "find_alpha_valuation", C3, Labeling((0, 1, 3))),
+            ("harmonious", "find_harmonious", C4, Labeling((0, 1, 2, 3))),
+            ("harmonious", "find_harmonious", C4, Labeling((0, 0, 1, 2))),
+            ("sequential", "find_sequential", C4, Labeling((0, 1, 2, 4))),
+        ],
+    )
+    def test_witness_failing_its_verifier_is_not_reported(
+        self, capsys, tmp_path, monkeypatch, command, engine, graph, bad
+    ):
+        monkeypatch.setattr(cli, engine, lambda g, budget: bad)
+        out_file = tmp_path / "o.json"
+        code, out, _ = run(capsys, command, "--graph6", graph, "--out", str(out_file))
+        assert code == 2 and out.startswith("invalid: ")
+        assert not out_file.exists()
+        code, out, _ = run(capsys, command, "--graph6", graph, "--json")
+        assert code == 2 and json.loads(out)["valid"] is False
 
     def test_rho_star(self, capsys):
         code, out, _ = run(capsys, "rho-star", "--n", "6")

@@ -200,6 +200,7 @@ class TestGenerators:
         assert g.p == n
         assert g.q == ((n + 1) // 2) * (n // 2 + 1)
         assert gap(sum_set(g, f)) == 0
+        assert len(set(f.values)) == n and min(f.values) >= 1
 
     def test_witness_rejects_small(self):
         with pytest.raises(ValueError):

@@ -7,18 +7,18 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from semlab.graphs import Graph, build_cycle, build_path, build_star
 from semlab.labelings import (
     DuplicateSumsError,
-    GracefulLabeling,
+    Labeling,
     LabelingError,
-    ModularLabeling,
     NonConsecutiveSumsError,
     NotBijectiveError,
     SemCertificate,
-    VertexLabeling,
     gap,
     is_consecutive,
+    label_domain,
     recheck_sem_certificate,
     strength_of_numbering,
     sum_set,
@@ -90,10 +90,11 @@ class TestVertexLabelingTranslation:
             assert gap(set(shifted)) == gap(set(base))
 
     def test_injectivity_enforced(self):
-        with pytest.raises(LabelingError):
-            VertexLabeling((1, 1, 2))
-        with pytest.raises(LabelingError):
-            VertexLabeling((0, 1))
+        # The verifier, not the value type, enforces a bijection onto [1, p].
+        with pytest.raises(NotBijectiveError):
+            verify_sem(build_path(3), Labeling((1, 1, 2)))
+        with pytest.raises(NotBijectiveError):
+            verify_sem(K2, Labeling((0, 1)))
 
 
 class TestVerifySem:
@@ -264,55 +265,55 @@ class TestGraceful:
 
 class TestHarmonious:
     def test_c3(self):
-        assert verify_harmonious(build_cycle(3), ModularLabeling((0, 1, 2)))
+        assert verify_harmonious(build_cycle(3), (0, 1, 2))
 
     def test_tree_repeat_allowed(self):
-        assert verify_harmonious(build_path(3), ModularLabeling((0, 1, 1)))
+        assert verify_harmonious(build_path(3), (0, 1, 1))
 
     def test_tree_collision(self):
-        assert not verify_harmonious(build_path(3), ModularLabeling((0, 1, 0)))
+        assert not verify_harmonious(build_path(3), (0, 1, 0))
 
     def test_allowance_must_match(self):
         # The verifier derives the repeat allowance from the graph:
         # a tree may repeat one label, any other graph none.
         with pytest.raises(LabelingError):
-            verify_harmonious(build_cycle(3), ModularLabeling((0, 0, 1)))
-        assert verify_harmonious(build_path(4), ModularLabeling((0, 1, 1, 2)))
+            verify_harmonious(build_cycle(3), (0, 0, 1))
+        assert verify_harmonious(build_path(4), (0, 1, 1, 2))
 
     def test_residue_out_of_range(self):
         with pytest.raises(LabelingError):
-            verify_harmonious(build_cycle(3), ModularLabeling((0, 1, 3)))
+            verify_harmonious(build_cycle(3), (0, 1, 3))
 
     def test_repeat_allowance_validated_in_type(self):
         # The type checks only that labels are >= 0; repeats beyond the
         # graph's allowance are refused by the verifier.
         with pytest.raises(LabelingError):
-            ModularLabeling((0, -1, 1))
+            Labeling((0, -1, 1))
         with pytest.raises(LabelingError):
-            verify_harmonious(build_path(4), ModularLabeling((0, 0, 1, 1)))
+            verify_harmonious(build_path(4), (0, 0, 1, 1))
 
 
 class TestSequential:
     def test_k2(self):
-        assert verify_sequential(K2, ModularLabeling((0, 1)))
+        assert verify_sequential(K2, (0, 1))
 
     def test_p3_gap(self):
-        assert not verify_sequential(build_path(3), ModularLabeling((0, 1, 2)))
+        assert not verify_sequential(build_path(3), (0, 1, 2))
 
     def test_p3_good(self):
-        assert verify_sequential(build_path(3), ModularLabeling((1, 0, 2)))
+        assert verify_sequential(build_path(3), (1, 0, 2))
 
     def test_injective_required(self):
         with pytest.raises(LabelingError):
-            verify_sequential(build_path(3), ModularLabeling((0, 1, 1)))
+            verify_sequential(build_path(3), (0, 1, 1))
 
     def test_tree_top_label_allowed(self):
         # Order-3 path: labels live in [0, 2] = [0, q] because p = q + 1.
-        assert verify_sequential(build_path(3), ModularLabeling((1, 0, 2)))
+        assert verify_sequential(build_path(3), (1, 0, 2))
 
     def test_non_tree_top_label_rejected(self):
         with pytest.raises(LabelingError):
-            verify_sequential(build_cycle(4), ModularLabeling((0, 1, 2, 4)))
+            verify_sequential(build_cycle(4), (0, 1, 2, 4))
 
     def test_sequential_implies_harmonious_mod_q(self):
         # Reducing a sequential labeling mod q gives a harmonious one.
@@ -323,17 +324,61 @@ class TestSequential:
             (build_star(3), (0, 1, 2, 3)),
         ]
         for g, labels in cases:
-            if not verify_sequential(g, ModularLabeling(labels)):
+            if not verify_sequential(g, labels):
                 continue
             reduced = tuple(x % g.q for x in labels)
-            assert verify_harmonious(g, ModularLabeling(reduced))
+            assert verify_harmonious(g, reduced)
 
 
 class TestGracefulLabelingType:
     def test_boundary_field(self):
-        f = GracefulLabeling((0, 2, 1, 4), 1)
+        f = Labeling((0, 2, 1, 4), 1)
         assert f.boundary == 1
+        assert Labeling([0, 2]).values == (0, 2)
 
     def test_injective(self):
+        # The verifier, not the value type, enforces injectivity.
         with pytest.raises(LabelingError):
-            GracefulLabeling((0, 0, 1))
+            verify_graceful(build_path(3), Labeling((0, 0, 1)))
+
+
+class TestLabelDomain:
+    def test_domains(self):
+        # P4 is a tree (q = 3, one vertex more than residues); C4 is not.
+        p4, c4 = build_path(4), build_cycle(4)
+        assert [label_domain(p4, k) for k in ("graceful", "harmonious", "sequential")] == [
+            (3, 0), (2, 1), (3, 0)
+        ]
+        assert [label_domain(c4, k) for k in ("graceful", "harmonious", "sequential")] == [
+            (4, 0), (3, 0), (3, 0)
+        ]
+        with pytest.raises(ValueError):
+            label_domain(p4, "sem")
+
+    def test_verifiers_take_any_label_sequence(self):
+        # A tuple and a Labeling of the same values get the same verdict or
+        # the same exception class from every verifier.
+        verifiers = (sum_set, verify_graceful, verify_alpha, verify_harmonious, verify_sequential)
+
+        def outcome(verify, g, f):
+            try:
+                return verify(g, f)
+            except Exception as exc:
+                return type(exc)
+
+        cases = 0
+        for g in oracles.atlas_graphs(5):
+            if not g.q:
+                continue
+            found = (oracles.brute_alpha(g), oracles.brute_harmonious(g), oracles.brute_sequential(g))
+            base = tuple(range(g.p))
+            tuples = [tuple(t) for t in found if t is not None] + [
+                (1,) + base[1:],  # label 1 repeated
+                base[:-1] + (g.q + 1,),  # above every domain
+                base[:-1],  # one vertex short
+            ]
+            for t in tuples:
+                for verify in verifiers:
+                    assert outcome(verify, g, t) == outcome(verify, g, Labeling(t)), (g.edges, t)
+                    cases += 1
+        assert cases > 600

@@ -22,8 +22,8 @@ from semlab.graphs import (
     parse_graph6,
 )
 from semlab.labelings import (
-    ModularLabeling,
-    VertexLabeling,
+    Labeling,
+    label_domain,
     verify_alpha,
     verify_harmonious,
     verify_sem,
@@ -196,7 +196,7 @@ def deficiency_cap7(g, budget):
     res = deficiency(g, 7, budget)
     if res.reason == "budget":
         raise SearchBudgetExceeded(f"budget ran out at extra {res.searched_cap}")
-    return VertexLabeling(res.witness.labels)
+    return Labeling(res.witness.labels)
 
 
 @pytest.mark.parametrize(
@@ -392,6 +392,28 @@ class TestAlphaValuation:
         assert deficiency_upper_via_alpha(build_cycle(5)) is None
 
 
+def test_witnesses_keep_to_label_domain():
+    # Every engine witness lies in its notion's label domain and passes its
+    # verifier; an alpha witness carries the boundary the verifier finds.
+    graphs = [g for g in oracles.atlas_graphs(6) if g.q]
+    graphs += [t for n in range(2, 10) for t in enumerate_trees(n)]
+    assert len(graphs) == 296
+    engines = (
+        (find_alpha_valuation, "graceful", verify_alpha),
+        (find_harmonious, "harmonious", verify_harmonious),
+        (find_sequential, "sequential", verify_sequential),
+    )
+    for g in graphs:
+        for search, kind, verify in engines:
+            f = search(g)
+            if f is None:
+                continue
+            top, repeats = label_domain(g, kind)
+            assert max(f.values) <= top and g.p - len(set(f.values)) <= repeats
+            want = True if f.boundary is None else f.boundary
+            assert verify(g, f) == want and (f.boundary is None) == (kind != "graceful")
+
+
 class KernelRan(Exception):
     pass
 
@@ -482,8 +504,7 @@ class TestSequential:
             for t in enumerate_trees(n):
                 f = find_sequential(t)
                 assert f is not None
-                reduced = ModularLabeling(tuple(x % t.q for x in f.values))
-                assert verify_harmonious(t, reduced)
+                assert verify_harmonious(t, [x % t.q for x in f.values])
 
 
 class TestBudget:
