@@ -12,7 +12,11 @@ so repeated runs return identical witnesses. One placement kernel,
 returns the lexicographically first valid labeling within its label
 ranges, read as the tuple of labels along that order. The symmetry rules
 of the consecutive-sum search rely on this contract: they only cut
-branches that cannot hold that labeling.
+branches that cannot hold that labeling. The kernel works out the
+admissible labels of each vertex as one bitmask and visits only those,
+but charges the budget one node per candidate that passes the label test,
+as a one-by-one scan would; node counts and budget outcomes are therefore
+independent of how candidates are tested.
 """
 
 from __future__ import annotations
@@ -87,6 +91,17 @@ class _BudgetClock:
         ):
             raise SearchBudgetExceeded(f"time limit exceeded after {self.nodes} nodes")
 
+    def sync(self, nodes: int) -> float:
+        """Bring the count up to `nodes`, charging the difference as advance()
+        does, and return the largest count the caller may reach before its
+        next sync(): past it the node limit or the deadline could stop the
+        search. For callers that count nodes locally."""
+        self.advance(nodes - self.nodes)
+        horizon = math.inf if self.node_limit is None else self.node_limit
+        if self.deadline is not None:
+            horizon = min(horizon, self.nodes | self._check_mask)
+        return horizon
+
 
 def _search_order(g: Graph) -> list[int]:
     # Fixed exploration order: degree descending, index ascending.
@@ -96,8 +111,8 @@ def _search_order(g: Graph) -> list[int]:
 def _first_labeling(
     g: Graph,
     order: list[int],
-    candidates: list,
-    value: list,
+    candidates: list[range],
+    kind: str,
     clock: _BudgetClock,
     repeats: int = 0,
     sum_range: tuple[int, int] | None = None,
@@ -106,22 +121,41 @@ def _first_labeling(
     whose q edge values are pairwise distinct and fit in a window of q
     consecutive integers; None if there is none.
 
-    Vertex v takes a label from `candidates[v]`, tried in increasing order.
-    The edge uv gets the value `value[f(u)][f(v)]`, a non-negative integer.
+    Vertex v takes a label from the range `candidates[v]`, tried in
+    increasing order. The edge uv gets a value of kind "sum" (f(u) + f(v)),
+    "residue" ((f(u) + f(v)) mod q) or "difference" (|f(u) - f(v)|).
     Labels are distinct, except that `repeats` of them may be used twice.
     q distinct integers in a window of q are consecutive. Differences of
-    labels in [0, q] and residues mod q always fit such a window, so that
-    test cuts only sum labelings. One node is charged to `clock` per
-    candidate that passes the label test.
+    distinct labels in [0, q] and residues mod q always fit such a window,
+    so that test cuts only sums.
 
-    `sum_range` = (a, b) is for the injective sum table (value[x][y] = x + y,
-    `order` by degree descending) when every valid labeling has its sums
-    in [a, b]. The sums outside start out as seen, so the duplicate test
-    rejects them. And each candidate that passes the sum tests must leave
-    Σ deg(v)·f(v) = q·s + q(q-1)/2 reachable for an s with a <= s <= b-q+1
-    and high-q+1 <= s <= low (low, high the extreme sums so far): the rest
-    of the weighted sum lies between the later degrees, in order, taking
-    the free labels from the bottom and from the top (rearrangement
+    Sets of labels and of edge values are bitmasks. `seen` holds the values
+    of the edges placed so far; a residue r is held at both r and r + q,
+    and a difference d also at top - d in `mirror` (top the largest label).
+    At each position the admissible labels are worked out at once: the
+    candidate range less the used labels (all of it while a repeat is
+    spare), less OR over the placed neighbour labels L of the labels that
+    repeat a value: `seen >> L` for sums and residues, and
+    `seen << L | mirror >> (top - L)` for differences. For sums they are
+    also cut to [high - q - min L + 1, low + q - max L - 1] (low, high the
+    extreme sums so far), and to nothing if max L - min L >= q: that keeps
+    the sums within a window of q. A label c then adds the values
+    `nm << c` (nm the mask of neighbour labels; residues fold it mod q,
+    differences join `nm >> c` and the mirror of nm shifted), which must
+    be as many as the neighbours. Only the admissible labels are visited,
+    but one node is still charged per candidate that passes the label
+    test: those up to c before c is tried, and the rest when the position
+    is exhausted. The count is kept here and handed to `clock` only where
+    the budget could run out (`_BudgetClock.sync`), so the budget runs out
+    at the same node as with one charge per candidate.
+
+    `sum_range` = (a, b) is for sums (`order` by degree descending) when
+    every valid labeling has its sums in [a, b]. The sums outside start out
+    as seen, so the duplicate test rejects them. And each candidate that
+    passes the sum tests must leave Σ deg(v)·f(v) = q·s + q(q-1)/2
+    reachable for an s with a <= s <= b-q+1 and high-q+1 <= s <= low: the
+    rest of the weighted sum lies between the later degrees, in order,
+    taking the free labels from the bottom and from the top (rearrangement
     inequality). These bounds are worked out once per set of used labels.
     """
     p, q = g.p, g.q
@@ -132,14 +166,21 @@ def _first_labeling(
         [pos_of[u] for u in g.neighbors(v) if pos_of[u] < i]
         for i, v in enumerate(order)
     ]
+    counts = [len(before) for before in nbrs_before]
     cands = [candidates[v] for v in order]
+    masks = [(1 << r.stop) - (1 << r.start) if r else 0 for r in cands]
+    top = max(r.stop for r in cands) - 1
+    sums, diffs = kind == "sum", kind == "difference"
+    both = (1 << 2 * q) - 1  # the residues 0..q-1 and their copies q..2q-1
+    below_top = (1 << top) - 1
     labels = [0] * p
-    tick = clock.tick
+    nodes = clock.nodes
+    check_at = clock.sync(nodes)
     seen0 = bound_end = 0
     if sum_range is not None:
         a, b = sum_range
-        # Every sum outside [a, b]; the table's sums are below 2*len(value).
-        seen0 =((1 << 2 * len(value)) - 1) ^ ((1 << b + 1) - (1 << a))
+        # Every sum outside [a, b]; the sums are at most 2*top.
+        seen0 = ((1 << 2 * top + 2) - 1) ^ ((1 << b + 1) - (1 << a))
         deg = [g.degree(v) for v in order]
         pool = sorted(set().union(*cands))
         # The last position needs no bound: its span test settles the sum.
@@ -163,52 +204,93 @@ def _first_labeling(
             return out
 
     def place(
-        i: int, used: int, spare: int, seen: int, low: float, high: int,
-        weight: int,
+        i: int, used: int, spare: int, seen: int, mirror: int, low: float,
+        high: int, weight: int,
     ) -> bool:
+        nonlocal nodes, check_at
         if i == p:
             return True
-        before = nbrs_before[i]
+        ok = masks[i] if spare else masks[i] & ~used
+        nm = nmir = forbidden = 0
+        if diffs:
+            for j in nbrs_before[i]:
+                x = labels[j]
+                nm |= 1 << x
+                nmir |= 1 << top - x
+                forbidden |= seen << x | mirror >> top - x
+            admissible = ok & ~forbidden
+        else:
+            for j in nbrs_before[i]:
+                x = labels[j]
+                nm |= 1 << x
+                forbidden |= seen >> x
+            admissible = ok & ~forbidden
+            if nm.bit_count() != counts[i]:
+                admissible = 0
+            elif sums and nm:
+                min_l, max_l = (nm & -nm).bit_length() - 1, nm.bit_length() - 1
+                start = high - q - min_l + 1
+                stop = low + q - max_l - 1
+                if max_l - min_l >= q or stop < start or stop < 0:
+                    admissible = 0
+                else:
+                    if start > 0:
+                        admissible &= -1 << start
+                    if stop < top:
+                        admissible &= (2 << stop) - 1
         bounded = i < bound_end
-        for c in cands[i]:
-            if used >> c & 1 and not spare:
-                continue
-            tick()
-            row = value[c]
-            add = 0
-            new_low, new_high = low, high
-            for j in before:
-                x = row[labels[j]]
-                if (seen | add) >> x & 1:
-                    break
-                add |= 1 << x
-                if x < new_low:
-                    new_low = x
-                if x > new_high:
-                    new_high = x
+        charged = 0
+        while admissible:
+            bit = admissible & -admissible
+            admissible ^= bit
+            c = bit.bit_length() - 1
+            k = (ok & (bit << 1) - 1).bit_count()
+            nodes += k - charged
+            charged = k
+            if nodes > check_at:
+                check_at = clock.sync(nodes)
+            new_mirror, new_low, new_high = mirror, low, high
+            if sums:
+                add = nm << c
+                if nm:
+                    if c + min_l < low:
+                        new_low = c + min_l
+                    if c + max_l > high:
+                        new_high = c + max_l
+            elif diffs:
+                add = nmir >> top - c | nm >> c
+                if add.bit_count() != counts[i]:
+                    continue
+                new_mirror |= (nm << top - c | nmir << c) & below_top
             else:
-                if new_high - new_low < q:
-                    w = weight
-                    if bounded:
-                        w += deg[i] * c
-                        nu = used | 1 << c
-                        least, most = rest.get(nu) or rest_range(nu, i)
-                        least += w
-                        most += w
-                        if (
-                            least > s_top or least > q * new_low
-                            or most < s_bottom or most < q * (new_high - q + 1)
-                        ):
-                            continue
-                    labels[i] = c
-                    if place(
-                        i + 1, used | 1 << c, spare - (used >> c & 1),
-                        seen | add, new_low, new_high, w,
-                    ):
-                        return True
+                add = nm << c
+                add = (add | add << q | add >> q) & both
+            w = weight
+            if bounded:
+                w += deg[i] * c
+                nu = used | bit
+                least, most = rest.get(nu) or rest_range(nu, i)
+                least += w
+                most += w
+                if (
+                    least > s_top or least > q * new_low
+                    or most < s_bottom or most < q * (new_high - q + 1)
+                ):
+                    continue
+            labels[i] = c
+            if place(
+                i + 1, used | bit, spare - (used >> c & 1), seen | add,
+                new_mirror, new_low, new_high, w,
+            ):
+                return True
+        nodes += ok.bit_count() - charged
+        if nodes > check_at:
+            check_at = clock.sync(nodes)
         return False
 
-    if not place(0, 0, repeats, seen0, math.inf, 0, 0):
+    found = place(0, 0, repeats, seen0, 0, math.inf, 0, 0)
+    clock.sync(nodes)
+    if not found:
         return None
     out = [0] * p
     for i, v in enumerate(order):
@@ -259,9 +341,6 @@ def _consecutive_sum_search(
 
     order = _search_order(g)
     v0 = order[0]
-    # Row a holds a + b for every label b.
-    base = list(range(2 * hi + 1))
-    sums = [base[a : a + hi + 1] for a in range(hi + 1)]
     # The loop over f(v0) narrows the ranges of v0 and its automorphic images.
     candidates = [range(lo, hi + 1)] * p
     orbit: list[int] = []
@@ -274,7 +353,7 @@ def _consecutive_sum_search(
         for w in orbit:
             candidates[w] = range(first + 1, lo + hi - first + 1)
         labels = _first_labeling(
-            g, order, candidates, sums, clock, sum_range=(s_min, s_max + q - 1)
+            g, order, candidates, "sum", clock, sum_range=(s_min, s_max + q - 1)
         )
         if labels is not None:
             return labels
@@ -449,10 +528,6 @@ def find_alpha_valuation(
     order = _search_order(g)
     p = g.p
     top, _ = label_domain(g, "graceful")
-    # Row a holds |a - b| for every label b.
-    base = [abs(x) for x in range(-top, top + 1)]
-    diffs = [base[top - a : 2 * top + 1 - a] for a in range(top + 1)]
-
     for boundary in range(top):
         below, above = range(boundary + 1), range(boundary + 1, top + 1)
         for flips in range(1 << len(comp_sides)):
@@ -471,7 +546,7 @@ def find_alpha_valuation(
                 (below if low_mask >> v & 1 else above) if g.adj[v] else range(top + 1)
                 for v in range(p)
             ]
-            labels = _first_labeling(g, order, candidates, diffs, clock)
+            labels = _first_labeling(g, order, candidates, "difference", clock)
             if labels is not None:
                 return Labeling(labels, boundary)
     return None
@@ -514,13 +589,10 @@ def find_harmonious(
         return None
     if q % 4 == 2 and not any(d % 2 for d in g.degrees()):
         return None
-    # Row a holds (a + b) mod q for every label b.
-    base = [x % q for x in range(2 * q)]
-    residues = [base[a : a + q] for a in range(q)]
     order = _search_order(g)
     candidates = [range(top + 1)] * p
     candidates[order[0]] = range(1)
-    labels = _first_labeling(g, order, candidates, residues, clock, repeats)
+    labels = _first_labeling(g, order, candidates, "residue", clock, repeats)
     return None if labels is None else Labeling(labels)
 
 

@@ -2,10 +2,13 @@
 
 import hashlib
 import itertools
+import os
 import random
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from semlab import graphs as graphs_mod
@@ -43,6 +46,29 @@ from semlab.search import (
 )
 
 K2 = Graph(2, [(0, 1)])
+
+
+def counted(search, *args):
+    """search(*args) and the number of nodes it charged to its budget."""
+    clocks = []
+
+    def clock(budget):
+        clocks.append(_BudgetClock(budget))
+        return clocks[-1]
+
+    with mock.patch.object(search_mod, "_BudgetClock", clock):
+        result = search(*args)
+    return result, sum(c.nodes for c in clocks)
+
+
+def sem_at(extra):
+    """find_sem_labeling(g, p + extra) as an engine."""
+
+    def search(g, budget=None):
+        return find_sem_labeling(g, g.p + extra, budget)
+
+    search.__name__ = f"find_sem_labeling_extra{extra}"
+    return search
 
 
 def small_graph_corpus():
@@ -221,6 +247,53 @@ def test_exploration_is_pinned(search, g, nodes, witness):
     assert (found and found.values) == witness
     with pytest.raises(SearchBudgetExceeded):
         search(g, SearchBudget(node_limit=nodes - 1))
+
+
+def test_kernel_exploration_is_pinned():
+    # One digest of the witness (or None) and the node count of every
+    # kernel engine on the 200 free trees of orders 2-10 and the 47 graphs
+    # of order <= 5 with an edge. A change to the kernel that moves a
+    # single node, or a witness, changes the digest.
+    graphs = [t for n in range(2, 11) for t in enumerate_trees(n)]
+    graphs += [g for g in oracles.atlas_graphs(5) if g.q]
+    engines = [
+        find_harmonious, find_alpha_valuation, find_sequential, sem_at(0), sem_at(1)
+    ]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for search in engines:
+            found, nodes = counted(search, g)
+            witness = None if found is None else (found.values, found.boundary)
+            digest.update(repr((witness, nodes)).encode())
+    assert len(graphs) == 247
+    assert digest.hexdigest() == (
+        "6c1b197a3d43be950c54d984cedad3c9d9114f8e59a8817cfb14cae9b4880df6"
+    )
+
+
+@pytest.mark.skipif(
+    os.environ.get("SEMLAB_SLOW") != "1",
+    reason="the sweep takes about 20 s on a 2-core x86-64 host with "
+    "CPython 3.11; set SEMLAB_SLOW=1",
+)
+def test_sweep_node_totals_are_pinned():
+    # Node totals of the kernel engines over every free tree of orders
+    # 2-11 and every graph of order <= 7 with an edge.
+    trees = [t for n in range(2, 12) for t in enumerate_trees(n)]
+    atlas = [g for g in oracles.atlas_graphs(7) if g.q]
+    sweeps = [
+        (trees, find_harmonious, 9_388_923),
+        (trees, find_sequential, 868_085),
+        (trees, find_alpha_valuation, 3_549_691),
+        (trees, sem_at(0), 868_085),
+        (trees, sem_at(1), 1_635_391),
+        (trees, sem_at(2), 1_897_178),
+        (atlas, find_harmonious, 8_267_875),
+        (atlas, find_sequential, 18_815_540),
+        (atlas, sem_at(1), 879_520),
+    ]
+    for graphs, search, total in sweeps:
+        assert sum(counted(search, g)[1] for g in graphs) == total, search.__name__
 
 
 class TestDeficiency:
@@ -520,6 +593,57 @@ class TestBudget:
 
     def test_unlimited_by_default(self):
         assert find_sem_labeling(build_cycle(3), 3) is not None
+
+
+def deficiency_cap3(g, budget=None):
+    """deficiency(g, 3) as an engine: its result, or SearchBudgetExceeded
+    when the budget ran out."""
+    res = deficiency(g, 3, budget)
+    if res.reason == "budget":
+        raise SearchBudgetExceeded(f"budget ran out at extra {res.searched_cap}")
+    return res
+
+
+@st.composite
+def kernel_graphs(draw):
+    """A graph of order <= 6 with an edge, or a tree of order <= 8."""
+    if draw(st.booleans()):
+        p = draw(st.integers(2, 6))
+        pairs = list(itertools.combinations(range(p), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        return Graph(p, edges)
+    n = draw(st.integers(2, 8))
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    return Graph(n, oracles.prufer_edges(seq, n))
+
+
+class TestExactBudget:
+    """A kernel search that charges N nodes when unlimited gives the same
+    result within a node limit of N and runs out at N - 1."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_graphs())
+    def test_node_limit_is_exact(self, g):
+        engines = [
+            sem_at(0), sem_at(1), sem_at(2), deficiency_cap3,
+            find_sequential, find_harmonious, find_alpha_valuation,
+        ]
+        for search in engines:
+            found, nodes = counted(search, g)
+            if nodes:
+                budget = SearchBudget(node_limit=nodes)
+                assert counted(search, g, budget) == (found, nodes)
+            if nodes > 1:
+                with pytest.raises(SearchBudgetExceeded):
+                    search(g, SearchBudget(node_limit=nodes - 1))
+
+    def test_time_limit_stops_kernel_search(self):
+        # K7 minus three disjoint edges: find_sequential refutes it in
+        # 3,143,866 nodes, far more than the budget allows.
+        start = time.monotonic()
+        with pytest.raises(SearchBudgetExceeded, match="time limit"):
+            find_sequential(parse_graph6("Fvz~o"), SearchBudget(time_limit=0.05))
+        assert time.monotonic() - start < 2.0
 
 
 class TestBudgetClockAdvance:
