@@ -116,6 +116,7 @@ def _first_labeling(
     clock: _BudgetClock,
     repeats: int = 0,
     sum_range: tuple[int, int] | None = None,
+    unused: int = 0,
 ) -> Optional[tuple[int, ...]]:
     """The lexicographically first labeling along `order`, indexed by vertex,
     whose q edge values are pairwise distinct and fit in a window of q
@@ -157,6 +158,12 @@ def _first_labeling(
     rest of the weighted sum lies between the later degrees, in order,
     taking the free labels from the bottom and from the top (rearrangement
     inequality). These bounds are worked out once per set of used labels.
+
+    `unused` is a mask of labels, for injective labelings with one spare
+    label, that holds the label every valid labeling leaves unused. Where
+    only one label of the mask is still unused, that label is left out of
+    the candidates, neither visited nor charged: using it would leave the
+    spare label outside the mask.
     """
     p, q = g.p, g.q
     pos_of = [0] * p
@@ -211,6 +218,10 @@ def _first_labeling(
         if i == p:
             return True
         ok = masks[i] if spare else masks[i] & ~used
+        if unused:
+            left = unused & ~used
+            if not left & left - 1:
+                ok &= ~left
         nm = nmir = forbidden = 0
         if diffs:
             for j in nbrs_before[i]:
@@ -319,6 +330,12 @@ def _consecutive_sum_search(
       kernel rejects the sums outside from the first edge on, and cuts a
       candidate once the identity can no longer hold for an allowed s (see
       `_first_labeling`).
+    - Unused-label pin: on an r-regular graph with one spare label u (hi -
+      lo = p), the left side of the identity is r*(T - u), T = lo + ... +
+      hi. So u lies in U = {T - (q*s + q(q-1)/2)/r : s in [s_min, s_max],
+      the division exact, lo <= value <= hi}. An empty U refutes the range
+      before any node; otherwise the kernel never uses the last unused
+      label of U (see `_first_labeling`).
     - Lex-leader: automorphisms and the complement f -> lo+hi-f map valid
       labelings to valid labelings, so the first one is no larger at the
       first position v0 than any of those images. Hence f(v0) <= (lo+hi)//2,
@@ -338,6 +355,15 @@ def _consecutive_sum_search(
     s_max = min(2 * hi - q, (weight_max - offset) // q)
     if s_min > s_max:
         return None
+    unused = 0
+    if hi - lo == p and degrees[-1] == degrees[0]:
+        total = (lo + hi) * (p + 1) // 2
+        for s in range(s_min, s_max + 1):
+            kept, remainder = divmod(q * s + offset, degrees[0])
+            if not remainder and lo <= total - kept <= hi:
+                unused |= 1 << total - kept
+        if not unused:
+            return None
 
     order = _search_order(g)
     v0 = order[0]
@@ -353,7 +379,8 @@ def _consecutive_sum_search(
         for w in orbit:
             candidates[w] = range(first + 1, lo + hi - first + 1)
         labels = _first_labeling(
-            g, order, candidates, "sum", clock, sum_range=(s_min, s_max + q - 1)
+            g, order, candidates, "sum", clock,
+            sum_range=(s_min, s_max + q - 1), unused=unused,
         )
         if labels is not None:
             return labels
@@ -554,15 +581,23 @@ def find_alpha_valuation(
 
 def deficiency_upper_via_alpha(
     g: Graph, budget: SearchBudget | None = None
-) -> Optional[int]:
-    """Upper bound q - p + 1 on the deficiency, valid whenever the graph
-    (no isolated vertices) has a boundary-valuation; None if none found."""
+) -> Optional[SemCertificate]:
+    """SEM certificate of g plus q - p + 1 isolated vertices, built from a
+    boundary-valuation of g (no isolated vertices); None if g has none.
+
+    With boundary lam, labels x <= lam stay and labels x > lam become
+    q + lam + 1 - x; then every label goes up by 1. An edge of difference d
+    gets the sum q + lam + 3 - d, so the q distinct differences become q
+    consecutive sums on the labels [1, q + 1]. `verify_sem` re-checks it.
+    """
     if any(g.degree(v) == 0 for v in range(g.p)):
         raise ValueError("bound requires a graph without isolated vertices")
     labeling = find_alpha_valuation(g, budget)
     if labeling is None:
         return None
-    return g.q - g.p + 1
+    lam = labeling.boundary
+    labels = [(x if x <= lam else g.q + lam + 1 - x) + 1 for x in labeling.values]
+    return verify_sem(g, labels, g.q - g.p + 1)
 
 
 def find_harmonious(

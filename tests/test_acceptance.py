@@ -139,7 +139,7 @@ def test_05_prism_deficiencies():
     details.append("D4=5")
 
     # Extra 0 is refuted by the counting identity before any node; the
-    # extra-1 witness takes about a million nodes.
+    # extra-1 witness takes 733 nodes.
     d6 = build_prism(6)
     res6 = deficiency(d6, 7, SearchBudget(node_limit=2_000_000))
     assert (res6.kind, res6.value) == ("finite", 1)
@@ -149,7 +149,9 @@ def test_05_prism_deficiencies():
     alpha = find_alpha_valuation(d6)
     assert alpha is not None
     assert verify_alpha(d6, alpha) == alpha.boundary
-    assert deficiency_upper_via_alpha(d6) == 7
+    bound = deficiency_upper_via_alpha(d6)
+    assert bound.isolated == 7
+    assert recheck_sem_certificate(d6, bound.to_json_dict())
     report(5, ", ".join(details) + "; boundary-valuation bound for D6 = 7")
 
 

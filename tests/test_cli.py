@@ -76,8 +76,10 @@ class TestDeficiency:
         }
 
     def test_budget_exhaustion_names_the_extra(self, capsys):
+        # Counting refutes extra 0 before any node; the extra-1 witness
+        # takes 795 nodes, more than the limit.
         argv = ["deficiency", "--family", "prism", "--params", "8", "--cap", "3",
-                "--node-limit", "1000"]
+                "--node-limit", "500"]
         code, out, _ = run(capsys, *argv)
         assert code == 3
         assert out.strip() == (
@@ -430,7 +432,7 @@ PINNED = [
      "deficiency: unknown (cap 0)\n", "", None),
     (["deficiency", "--graph6", C4, "--cap", "0", "--json"], 3,
      _dumps({"kind": "unknown", "reason": "cap", "searched_cap": 0, "lower": 1}), "", None),
-    (["deficiency", "--family", "prism", "--params", "8", "--cap", "3", "--node-limit", "1000"],
+    (["deficiency", "--family", "prism", "--params", "8", "--cap", "3", "--node-limit", "500"],
      3, "deficiency: unknown (budget ran out at extra 1; deficiency >= 1)\n", "", None),
     (["strength", "--family", "prism", "--params", "4"], 0, "strength: 11\n", "", None),
     (["strength", "--family", "prism", "--params", "4", "--json"], 0,

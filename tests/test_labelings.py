@@ -75,7 +75,7 @@ class TestGap:
         assert (gap(s) == 0) == truly
 
 
-class TestVertexLabelingTranslation:
+class TestLabelShiftAndBijection:
     @settings(max_examples=100)
     @given(
         st.lists(st.integers(1, 60), min_size=3, max_size=6, unique=True),
@@ -330,7 +330,7 @@ class TestSequential:
             assert verify_harmonious(g, reduced)
 
 
-class TestGracefulLabelingType:
+class TestLabelingFieldsAndGracefulInjectivity:
     def test_boundary_field(self):
         f = Labeling((0, 2, 1, 4), 1)
         assert f.boundary == 1

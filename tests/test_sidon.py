@@ -127,7 +127,7 @@ class TestRhoStar:
 
     @pytest.mark.skipif(
         os.environ.get("SEMLAB_SLOW") != "1",
-        reason="cardinality 11 takes about 25 s on a 2-core x86-64 host "
+        reason="cardinality 11 takes about 12 s on a 2-core x86-64 host "
         "with CPython 3.11; set SEMLAB_SLOW=1",
     )
     def test_cardinality_eleven_dominates_quadratic_bound(self):
