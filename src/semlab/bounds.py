@@ -4,7 +4,8 @@ Brackets the least size l(n) beyond which every order-n graph has infinite
 super edge-magic deficiency: the lower side comes from the constructive
 witness in `graphs.build_lower_bound_witness`, the upper side from running
 the clique certificate over every graph obtained from K_n by deleting few
-edges. Also the density threshold j(alpha) and the prism deficiency table.
+edges. Also the density threshold j(alpha) and the prism deficiency table,
+whose exact values for even n come from a node-budgeted search.
 """
 
 from __future__ import annotations
@@ -12,8 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import build_complete, enumerate_k_minus
+from .graphs import build_complete, build_prism, enumerate_k_minus
+from .search import SearchBudget, deficiency
 from .sidon import certify_infinite_deficiency
+
+# Node budget of the search behind each even-n prism row. D4 to D16 take at
+# most 2.8M nodes; past D16 the search stops here and the row stays open.
+_PRISM_NODE_LIMIT = 3_000_000
 
 
 def l_lower_bound(n: int) -> int:
@@ -107,7 +113,7 @@ class PrismBoundRow:
 
     Odd n: exactly zero. Even n: at least 1 and at most n+1; `old_upper`
     is the previously published 3n/2 - 1 bound (n divisible by 4 only);
-    `exact` is filled for odd n and, as a stored value, for n = 4.
+    `exact` is filled for odd n and for the even n whose search finished.
     """
 
     n: int
@@ -118,6 +124,12 @@ class PrismBoundRow:
     status: str
 
     def as_row(self) -> dict:
+        if self.lower == 0:
+            provenance = "odd cycle: exactly zero"
+        else:
+            provenance = "bracket [1, n+1]; previous bound 3n/2-1 when 4 | n"
+            if self.exact is not None:
+                provenance += "; exact by search"
         return {
             "n": self.n,
             "lower": self.lower,
@@ -125,28 +137,27 @@ class PrismBoundRow:
             "old_upper": "" if self.old_upper is None else self.old_upper,
             "exact": "" if self.exact is None else self.exact,
             "status": self.status,
-            "provenance": (
-                "odd cycle: exactly zero"
-                if self.lower == 0
-                else "bracket [1, n+1]; previous bound 3n/2-1 when 4 | n"
-            ),
+            "provenance": provenance,
         }
 
 
 def prism_bounds(n: int) -> PrismBoundRow:
     """Bound row for the prism over C_n. Odd n are exactly deficiency 0;
-    even n get the bracket [1, n+1], with the known value 5 at n = 4."""
+    even n get the bracket [1, n+1], and the exact value when
+    `deficiency` decides it within `_PRISM_NODE_LIMIT` nodes: its witness
+    passed `verify_sem` and every smaller count was refuted. A search that
+    runs out of nodes leaves the row open."""
     if n < 3:
         raise ValueError("prism needs cycle length >= 3")
     if n % 2 == 1:
         return PrismBoundRow(n, 0, 0, None, 0, "exact")
     old = 3 * n // 2 - 1 if n % 4 == 0 else None
-    known = 5 if n == 4 else None
+    res = deficiency(build_prism(n), n + 1, SearchBudget(node_limit=_PRISM_NODE_LIMIT))
     return PrismBoundRow(
         n,
         lower=1,
         upper=n + 1,
         old_upper=old,
-        exact=known,
-        status="exact" if known is not None else "open",
+        exact=res.value,
+        status="exact" if res.kind == "finite" else "open",
     )

@@ -5,12 +5,16 @@ in the stated range, and running out of budget raises SearchBudgetExceeded
 (surfaced as an Unknown result by `deficiency`) rather than guessing.
 
 Engines are single-threaded and explore label candidates in increasing
-order over a fixed vertex order (degree descending, then index ascending),
-so repeated runs return identical witnesses. One placement kernel,
-`_first_labeling`, backs `find_sem_labeling`, `deficiency`,
-`find_sequential`, `find_harmonious` and `find_alpha_valuation`: each call
-returns the lexicographically first valid labeling within its label
-ranges, read as the tuple of labels along that order. The symmetry rules
+order over one fixed vertex order, `_search_order`: degree descending;
+within one degree, the vertex with the most neighbours already in the
+order; then the lowest index. Degree comes first because the weighted-sum
+bound pairs the later degrees in order; the tie-break keeps each new
+vertex next to placed ones whatever the numbering. Repeated runs return
+identical witnesses. One placement kernel, `_first_labeling`, backs
+`find_sem_labeling`, `deficiency`, `find_sequential`, `find_harmonious`
+and `find_alpha_valuation`: each call returns the lexicographically first
+valid labeling within its label ranges, read as the tuple of labels along
+that order. The symmetry rules
 of the consecutive-sum search rely on this contract: they only cut
 branches that cannot hold that labeling. The kernel works out the
 admissible labels of each vertex as one bitmask and visits only those,
@@ -104,8 +108,34 @@ class _BudgetClock:
 
 
 def _search_order(g: Graph) -> list[int]:
-    # Fixed exploration order: degree descending, index ascending.
-    return sorted(range(g.p), key=lambda v: (-g.degree(v), v))
+    """The fixed exploration order of every kernel engine: degree
+    descending; within one degree, the vertex with the most neighbours
+    already in the order; then the lowest index. The tie-break makes the
+    order follow the edges, not the numbering, so that each new vertex
+    meets placed neighbours whose labels prune it."""
+    adj = g.adj
+    classes = [0] * g.p  # classes[d]: the vertices of degree d
+    for v, nbrs in enumerate(adj):
+        classes[nbrs.bit_count()] |= 1 << v
+    order: list[int] = []
+    placed = 0
+    for d in range(g.p - 1, -1, -1):
+        left = classes[d]
+        while left:
+            best, pick = -1, 0
+            scan = left
+            while scan:
+                bit = scan & -scan
+                scan ^= bit
+                links = (adj[bit.bit_length() - 1] & placed).bit_count()
+                if links > best:
+                    best, pick = links, bit
+                    if links == d:  # no later vertex can beat it
+                        break
+            left ^= pick
+            placed |= pick
+            order.append(pick.bit_length() - 1)
+    return order
 
 
 def _first_labeling(
@@ -150,8 +180,9 @@ def _first_labeling(
     the budget could run out (`_BudgetClock.sync`), so the budget runs out
     at the same node as with one charge per candidate.
 
-    `sum_range` = (a, b) is for sums (`order` by degree descending) when
-    every valid labeling has its sums in [a, b]. The sums outside start out
+    `sum_range` = (a, b) is for sums when every valid labeling has its
+    sums in [a, b]; it needs degrees non-increasing along `order`, as in
+    `_search_order`. The sums outside start out
     as seen, so the duplicate test rejects them. And each candidate that
     passes the sum tests must leave Σ deg(v)·f(v) = q·s + q(q-1)/2
     reachable for an s with a <= s <= b-q+1 and high-q+1 <= s <= low: the
@@ -316,7 +347,9 @@ def _consecutive_sum_search(
     duplicate-free and consecutive, or None if none exists.
 
     Returns labels indexed by vertex: the lexicographically first labeling
-    along `_search_order`. Prunes on duplicate sums and on the sum span
+    along `_search_order` (degree descending, so that the weighted-sum
+    bound holds; then most neighbours already placed; then lowest index).
+    Prunes on duplicate sums and on the sum span
     exceeding q (a q-element duplicate-free set is consecutive iff its span
     is exactly q), and applies rules that keep that first labeling:
 

@@ -30,6 +30,27 @@ def brute_find_sem(g: Graph, max_label: int):
     return None
 
 
+def placement_order(g: Graph) -> list[int]:
+    """The engines' vertex order, built the slow way: repeatedly take the
+    unplaced vertex of highest degree, among those the one with the most
+    neighbours already placed, among those the lowest index."""
+    nbrs = {v: set() for v in range(g.p)}
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    order = []
+    while len(order) < g.p:
+        best = None
+        for v in range(g.p):
+            if v in order:
+                continue
+            key = (len(nbrs[v]), len(nbrs[v] & set(order)))
+            if best is None or key > best[0]:
+                best = (key, v)
+        order.append(best[1])
+    return order
+
+
 def brute_lexfirst_sem(g: Graph, lo: int, hi: int, order):
     """First injective labeling into [lo, hi] with consecutive sums, with
     labels assigned to the vertices in `order` and candidate tuples taken in

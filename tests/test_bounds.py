@@ -2,6 +2,7 @@
 
 import pytest
 
+from semlab import bounds as bounds_mod
 from semlab.bounds import (
     j_threshold,
     l_bracket,
@@ -106,18 +107,30 @@ class TestPrismBounds:
 
     def test_n6(self):
         row = prism_bounds(6)
-        assert (row.lower, row.upper, row.old_upper) == (1, 7, None)
-        assert row.status == "open"
+        assert (row.lower, row.upper, row.old_upper, row.exact) == (1, 7, None, 1)
+        assert row.status == "exact"
 
     def test_n8(self):
         row = prism_bounds(8)
-        assert (row.lower, row.upper, row.old_upper) == (1, 9, 11)
+        assert (row.lower, row.upper, row.old_upper, row.exact) == (1, 9, 11, 1)
+        assert row.status == "exact"
+
+    def test_budget_stop_stays_open(self, monkeypatch):
+        # D8 takes 795 nodes.
+        monkeypatch.setattr(bounds_mod, "_PRISM_NODE_LIMIT", 794)
+        row = prism_bounds(8)
+        assert (row.lower, row.upper, row.exact, row.status) == (1, 9, None, "open")
+        assert row.as_row()["provenance"] == (
+            "bracket [1, n+1]; previous bound 3n/2-1 when 4 | n"
+        )
 
     def test_odd_is_exactly_zero(self):
         row = prism_bounds(7)
         assert (row.lower, row.upper, row.exact, row.status) == (0, 0, 0, "exact")
 
-    def test_new_bound_strictly_improves_for_large_multiples_of_four(self):
+    def test_new_bound_strictly_improves_for_large_multiples_of_four(self, monkeypatch):
+        # The bracket is closed-form; a one-node search keeps the rows cheap.
+        monkeypatch.setattr(bounds_mod, "_PRISM_NODE_LIMIT", 1)
         for n in range(8, 41, 4):
             row = prism_bounds(n)
             assert row.upper < row.old_upper

@@ -340,9 +340,11 @@ class TestTables:
         lines = out.strip().split("\n")
         assert lines[0].startswith("n,lower,upper,old_upper,exact,status")
         row8 = next(ln for ln in lines if ln.startswith("8,"))
-        assert row8.split(",")[1:4] == ["1", "9", "11"]
+        assert row8.split(",")[1:6] == ["1", "9", "11", "1", "exact"]
         row12 = next(ln for ln in lines if ln.startswith("12,"))
-        assert row12.split(",")[1:4] == ["1", "13", "17"]
+        assert row12.split(",")[1:6] == ["1", "13", "17", "1", "exact"]
+        # Every even n of the range is decided by search.
+        assert all(ln.split(",")[5] == "exact" for ln in lines[1:])
 
     def test_rho_table(self, capsys):
         code, out, _ = run(capsys, "tables", "--what", "rho-star", "--n-min", "2", "--n-max", "9")
@@ -387,7 +389,7 @@ SURVEY_4 = (
 PRISM_3_4 = (
     "n,lower,upper,old_upper,exact,status,provenance\n"
     "3,0,0,,0,exact,odd cycle: exactly zero\n"
-    '4,1,5,5,5,exact,"bracket [1, n+1]; previous bound 3n/2-1 when 4 | n"\n'
+    '4,1,5,5,5,exact,"bracket [1, n+1]; previous bound 3n/2-1 when 4 | n; exact by search"\n'
 )
 NOT_IMPLIED = "no certificate (finiteness is NOT implied)"
 

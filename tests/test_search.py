@@ -37,6 +37,7 @@ from semlab.search import (
     SearchBudget,
     SearchBudgetExceeded,
     _BudgetClock,
+    _search_order,
     deficiency,
     deficiency_upper_via_alpha,
     find_alpha_valuation,
@@ -155,21 +156,70 @@ class TestFindSem:
             assert verify_sem(g, f).isolated == 0
 
 
-def degree_then_index(g):
-    return sorted(range(g.p), key=lambda v: (-g.degree(v), v))
+@st.composite
+def graphs_up_to_twelve(draw):
+    """Any graph of order 2-12."""
+    p = draw(st.integers(2, 12))
+    pairs = list(itertools.combinations(range(p), 2))
+    return Graph(p, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+class TestSearchOrder:
+    """`_search_order` is the one vertex order of every kernel engine."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_up_to_twelve())
+    def test_order_contract(self, g):
+        order = _search_order(g)
+        assert sorted(order) == list(range(g.p))
+        # The weighted-sum bound pairs the later degrees in order, so they
+        # must never rise along it.
+        degrees = [g.degree(v) for v in order]
+        assert degrees == sorted(degrees, reverse=True)
+        # v0 of the lex-leader rule.
+        assert order[0] == g.degrees().index(max(g.degrees()))
+        assert order == oracles.placement_order(g)
+
+    def test_generator_numberings_keep_degree_then_index(self):
+        # Here the tie-break picks the next index anyway, so the witnesses
+        # of these families are those of the plain degree-then-index order.
+        graphs = [build_prism(n) for n in range(3, 21)]
+        graphs += [build_cycle(n) for n in range(3, 21)]
+        for n in range(1, 21):
+            graphs += [build_path(n), build_star(n), build_complete(n)]
+        for g in graphs:
+            assert _search_order(g) == sorted(range(g.p), key=lambda v: (-g.degree(v), v))
+
+    @pytest.mark.parametrize(
+        "n, seed, nodes",
+        [
+            (8, 0, 3_166), (8, 1, 102), (8, 2, 15_667), (8, 3, 12_794),
+            (10, 0, 473_686), (10, 1, 166_001), (10, 2, 45_540), (10, 3, 3_619),
+        ],
+    )
+    def test_renumbered_prism_extra_one_nodes_are_pinned(self, n, seed, nodes):
+        # The order follows the edges, not the numbering, so a shuffled
+        # numbering still meets placed neighbours at every vertex.
+        perm = list(range(2 * n))
+        random.Random(seed).shuffle(perm)
+        g = build_prism(n).relabeled(perm)
+        found, charged = counted(sem_at(1), g, SearchBudget(node_limit=nodes))
+        assert charged == nodes
+        assert verify_sem(g, found, 1).isolated == 1
 
 
 class TestLexFirstWitness:
-    """The consecutive-sum kernel returns exactly the lexicographically first
-    labeling along the degree-then-index order, so its pruning rules never
-    change a witness."""
+    """The kernel engines return exactly the lexicographically first labeling
+    along `oracles.placement_order`: degree descending, then most neighbours
+    already placed, then lowest index. Their pruning rules never change a
+    witness, and the oracles check the order along with the witness."""
 
     def test_find_sem_matches_oracle(self):
         for g in oracles.atlas_graphs(6):
             for extra in range(4 if g.p <= 5 else 2):
                 top = g.p + extra
                 mine = find_sem_labeling(g, top)
-                ref = oracles.brute_lexfirst_sem(g, 1, top, degree_then_index(g))
+                ref = oracles.brute_lexfirst_sem(g, 1, top, oracles.placement_order(g))
                 assert (mine and mine.values) == ref, (g.edges, top)
                 assert (ref is None) == (oracles.brute_find_sem(g, top) is None)
 
@@ -181,7 +231,7 @@ class TestLexFirstWitness:
                 continue
             top = g.q if is_tree(g) else g.q - 1
             mine = find_sequential(g)
-            ref = oracles.brute_lexfirst_sem(g, 0, top, degree_then_index(g))
+            ref = oracles.brute_lexfirst_sem(g, 0, top, oracles.placement_order(g))
             assert (mine and mine.values) == ref, g.edges
 
     def test_find_harmonious_matches_oracle(self):
@@ -189,7 +239,7 @@ class TestLexFirstWitness:
         graphs += [t for n in range(2, 8) for t in enumerate_trees(n)]
         for g in graphs:
             mine = find_harmonious(g)
-            ref = oracles.brute_lexfirst_harmonious(g, degree_then_index(g))
+            ref = oracles.brute_lexfirst_harmonious(g, oracles.placement_order(g))
             assert (mine and mine.values) == ref, g.edges
 
     def test_tree_witnesses_are_pinned(self):
@@ -203,7 +253,7 @@ class TestLexFirstWitness:
             digest.update(repr(witnesses).encode())
         assert len(trees) == 200
         assert digest.hexdigest() == (
-            "b7ffce45845d77c06a2f505a54b25fedb680f61439ddef5762ed8c390f7c1831"
+            "bd778ffdd60f6660e6f2b9ed513dcde6541831cd54a713d1e1c5adb62cf202db"
         )
 
     def test_truncated_orbit_keeps_every_answer(self, monkeypatch):
@@ -268,7 +318,7 @@ def test_kernel_exploration_is_pinned():
             digest.update(repr((witness, nodes)).encode())
     assert len(graphs) == 247
     assert digest.hexdigest() == (
-        "aa89139abf7ad6e1db07350d5f7374c58e3834324dc0b69b70221d6e2229801f"
+        "f6ce2883b820fb88121eff81b42c58bf00b1e2f052813b91bcc48a3d4f6e377f"
     )
 
 
@@ -283,15 +333,15 @@ def test_sweep_node_totals_are_pinned():
     trees = [t for n in range(2, 12) for t in enumerate_trees(n)]
     atlas = [g for g in oracles.atlas_graphs(7) if g.q]
     sweeps = [
-        (trees, find_harmonious, 9_388_923),
-        (trees, find_sequential, 868_085),
-        (trees, find_alpha_valuation, 3_549_691),
-        (trees, sem_at(0), 868_085),
-        (trees, sem_at(1), 1_635_391),
-        (trees, sem_at(2), 1_897_178),
-        (atlas, find_harmonious, 8_267_875),
-        (atlas, find_sequential, 18_815_540),
-        (atlas, sem_at(1), 877_263),
+        (trees, find_harmonious, 9_697_573),
+        (trees, find_sequential, 885_705),
+        (trees, find_alpha_valuation, 3_561_019),
+        (trees, sem_at(0), 885_705),
+        (trees, sem_at(1), 1_647_233),
+        (trees, sem_at(2), 1_897_684),
+        (atlas, find_harmonious, 8_130_472),
+        (atlas, find_sequential, 18_143_656),
+        (atlas, sem_at(1), 840_851),
     ]
     for graphs, search, total in sweeps:
         assert sum(counted(search, g)[1] for g in graphs) == total, search.__name__
@@ -318,7 +368,7 @@ class TestUnusedLabelPin:
                 top = g.p + extra
                 found = find_sem_labeling(g, top)
                 if pinned is None:
-                    want = oracles.brute_lexfirst_sem(g, 1, top, degree_then_index(g))
+                    want = oracles.brute_lexfirst_sem(g, 1, top, oracles.placement_order(g))
                 else:
                     want = pinned[extra]
                 assert (found and found.values) == want, (g.edges, extra)
