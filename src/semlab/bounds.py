@@ -111,9 +111,11 @@ def j_threshold(alpha: int) -> int:
 class PrismBoundRow:
     """Deficiency bounds for the prism on 2n vertices.
 
-    Odd n: exactly zero. Even n: at least 1 and at most n+1; `old_upper`
-    is the previously published 3n/2 - 1 bound (n divisible by 4 only);
-    `exact` is filled for odd n and for the even n whose search finished.
+    Odd n: exactly zero. Even n: at most n+1, and `lower` is the proven
+    lower bound: the exact value where the search decided, otherwise 1;
+    `old_upper` is the previously published 3n/2 - 1 bound (n divisible by
+    4 only); `exact` is filled for odd n and for the even n whose search
+    finished.
     """
 
     n: int
@@ -143,10 +145,10 @@ class PrismBoundRow:
 
 def prism_bounds(n: int) -> PrismBoundRow:
     """Bound row for the prism over C_n. Odd n are exactly deficiency 0;
-    even n get the bracket [1, n+1], and the exact value when
-    `deficiency` decides it within `_PRISM_NODE_LIMIT` nodes: its witness
-    passed `verify_sem` and every smaller count was refuted. A search that
-    runs out of nodes leaves the row open."""
+    even n get the bracket [1, n+1], and the exact value, also as the lower
+    bound, when `deficiency` decides it within `_PRISM_NODE_LIMIT` nodes:
+    its witness passed `verify_sem` and every smaller count was refuted. A
+    search that runs out of nodes leaves the row open."""
     if n < 3:
         raise ValueError("prism needs cycle length >= 3")
     if n % 2 == 1:
@@ -155,7 +157,7 @@ def prism_bounds(n: int) -> PrismBoundRow:
     res = deficiency(build_prism(n), n + 1, SearchBudget(node_limit=_PRISM_NODE_LIMIT))
     return PrismBoundRow(
         n,
-        lower=1,
+        lower=1 if res.value is None else res.value,
         upper=n + 1,
         old_upper=old,
         exact=res.value,

@@ -299,8 +299,8 @@ def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
     return (p, best)
 
 
-# Backtracking steps one `automorphism_orbit` call may spend; candidates
-# left unproven when it runs out are dropped from the orbit.
+# Backtracking steps one `automorphism_orbit` or `stabiliser_links` call
+# may spend; candidates left unproven when it runs out are dropped.
 _ORBIT_STEP_LIMIT = 20_000
 
 
@@ -323,54 +323,131 @@ def _bfs_order(g: Graph, root: int) -> list[int]:
     return order
 
 
+def _extend_automorphism(
+    g: Graph, peers: list[int], perm: list[int], todo: Sequence[int], steps: list[int]
+) -> bool:
+    """Extend the partial map `perm` (-1 where unset) over the vertices
+    `todo`, in that order, to an automorphism of g that maps each vertex x
+    into `peers[x]`, a bitmask of the vertices of its colour. True, with the
+    map in `perm`, once one has been found and checked edge by edge. Each
+    image tried spends one of `steps[0]`; past the allowance the answer is
+    False. Adjacency among the vertices set beforehand is the caller's to
+    keep."""
+    adj = g.adj
+    placed = image = 0
+    for x, y in enumerate(perm):
+        if y >= 0:
+            placed |= 1 << x
+            image |= 1 << y
+
+    def extend(k: int, placed: int, image: int) -> bool:
+        # Map todo[k:] so that colours and the adjacency to every placed
+        # vertex are kept.
+        if k == len(todo):
+            return all(g.has_edge(perm[a], perm[b]) for a, b in g.edges)
+        x = todo[k]
+        want = 0
+        free = peers[x] & ~image
+        for z in _bits(adj[x] & placed):
+            want |= 1 << perm[z]
+            free &= adj[perm[z]]
+        while free:
+            bit = free & -free
+            free ^= bit
+            if adj[bit.bit_length() - 1] & image != want:
+                continue
+            steps[0] -= 1
+            if steps[0] < 0:
+                return False
+            perm[x] = bit.bit_length() - 1
+            if extend(k + 1, placed | 1 << x, image | bit):
+                return True
+        return False
+
+    return extend(0, placed, image)
+
+
+def _peers(colors: list[int]) -> list[int]:
+    # peers[v]: the bitmask of the vertices that share v's colour.
+    classes: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return [classes[c] for c in colors]
+
+
 def automorphism_orbit(g: Graph, v: int) -> list[int]:
     """Vertices w, in increasing order, that an automorphism of g maps v to.
 
     Always contains v. Another vertex enters only after an explicit vertex
     permutation taking v to it has been found and checked edge by edge to
-    be an automorphism. Candidates are the vertices sharing v's stable
+    be an automorphism, or as the image of an orbit member under such a
+    permutation. Candidates are the vertices sharing v's stable
     degree-refinement colour; the backtracking behind the check has a fixed
     step allowance, and a candidate it cannot settle in time is left out.
     So the result may miss orbit members but never holds a vertex outside
     the orbit.
     """
-    p, adj = g.p, g.adj
-    colors = _refine_colors(g)
-    order = _bfs_order(g, v)
-    perm = [-1] * p
-    steps = _ORBIT_STEP_LIMIT
-
-    def extend(k: int, placed: int, image: int) -> bool:
-        # Map order[k:] so that colours and the adjacency to every placed
-        # vertex are kept.
-        nonlocal steps
-        if k == p:
-            return True
-        x = order[k]
-        want = 0
-        for z in _bits(adj[x] & placed):
-            want |= 1 << perm[z]
-        for y in range(p):
-            if image >> y & 1 or colors[y] != colors[x] or (adj[y] & image) != want:
-                continue
-            steps -= 1
-            if steps < 0:
-                return False
-            perm[x] = y
-            if extend(k + 1, placed | 1 << x, image | 1 << y):
-                return True
-        return False
-
-    orbit = [v]
-    for w in range(p):
-        if w == v or colors[w] != colors[v]:
+    peers = _peers(_refine_colors(g))
+    todo = _bfs_order(g, v)[1:]
+    steps = [_ORBIT_STEP_LIMIT]
+    orbit = 1 << v
+    maps: list[list[int]] = []
+    for w in _bits(peers[v] & ~orbit):
+        if orbit >> w & 1:
             continue
+        perm = [-1] * g.p
         perm[v] = w
-        if extend(1, 1 << v, 1 << w) and all(
-            g.has_edge(perm[a], perm[b]) for a, b in g.edges
-        ):
-            orbit.append(w)
-    return sorted(orbit)
+        if _extend_automorphism(g, peers, perm, todo, steps):
+            # The orbit is closed under every map found so far.
+            maps.append(perm)
+            grown = orbit | 1 << w
+            while grown != orbit:
+                orbit = grown
+                for m in maps:
+                    for x in _bits(orbit):
+                        grown |= 1 << m[x]
+    return _bits(orbit)
+
+
+def stabiliser_links(g: Graph, order: Sequence[int], keep: int) -> list[int]:
+    """For each position k of `order`, the last position j in [1, k) such
+    that an automorphism of g was found that fixes order[:j] pointwise,
+    maps the vertex set `keep` (a bitmask) onto itself and takes order[j]
+    to order[k]; -1 where there is none.
+
+    Twins v, w (N(v) minus w equal to N(w) minus v) take the transposition
+    without a search. Other candidates w for v = order[j] must share v's
+    degree, its membership of `keep` and its adjacency to order[:j]; each
+    is then settled by backtracking under the step allowance, and the map
+    is checked edge by edge. A link may therefore be missed, but each one
+    given holds.
+    """
+    p, adj = g.p, g.adj
+    peers = _peers([2 * adj[v].bit_count() + (keep >> v & 1) for v in range(p)])
+    pos = [0] * p
+    for k, v in enumerate(order):
+        pos[v] = k
+    links = [-1] * p
+    steps = [_ORBIT_STEP_LIMIT]
+    fixed = 0
+    for j, v in enumerate(order):
+        prefix = fixed
+        fixed |= 1 << v
+        rows = adj[v] & prefix
+        later = peers[v] & ~fixed if j else 0
+        while later:
+            bit = later & -later
+            later ^= bit
+            w = bit.bit_length() - 1
+            if adj[w] & prefix != rows:
+                continue
+            if adj[v] & ~bit != adj[w] & ~(1 << v):
+                perm = [x if fixed >> x & 1 else -1 for x in range(p)]
+                perm[v] = w
+                if not _extend_automorphism(g, peers, perm, order[j + 1 :], steps):
+                    continue
+            links[pos[w]] = j
+    return links
 
 
 def enumerate_k_minus(n: int, alpha: int) -> Iterator[Graph]:

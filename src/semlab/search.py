@@ -16,7 +16,12 @@ and `find_alpha_valuation`: each call returns the lexicographically first
 valid labeling within its label ranges, read as the tuple of labels along
 that order. The symmetry rules
 of the consecutive-sum search rely on this contract: they only cut
-branches that cannot hold that labeling. The kernel works out the
+branches that cannot hold that labeling. They are the lex-leader rule at
+the first vertex v0 (complement and the automorphism orbit of v0) and its
+stabiliser chain: where an automorphism fixes the first i vertices and
+maps the orbit set onto itself, the image w of the vertex at position i
+must get a larger label, so that position's link makes the kernel start
+above it. The kernel works out the
 admissible labels of each vertex as one bitmask and visits only those,
 but charges the budget one node per candidate that passes the label test,
 as a one-by-one scan would; node counts and budget outcomes are therefore
@@ -28,9 +33,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
-from .graphs import Graph, automorphism_orbit, bipartition
+from .graphs import Graph, automorphism_orbit, bipartition, stabiliser_links
 from .labelings import Labeling, SemCertificate, label_domain, verify_sem
 
 
@@ -67,43 +72,28 @@ class _BudgetClock:
         )
         self._check_mask = 0x3FF
 
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
-            raise SearchBudgetExceeded(f"node limit exceeded after {self.nodes} nodes")
-        if (
-            self.deadline is not None
-            and not self.nodes & self._check_mask
-            and time.monotonic() > self.deadline
-        ):
-            raise SearchBudgetExceeded(f"time limit exceeded after {self.nodes} nodes")
+    def sync(self, nodes: int) -> float:
+        """Bring the count up to `nodes`, the caller's own running count, and
+        return the largest count the caller may reach before its next sync():
+        past it the node limit or the deadline could stop the search.
 
-    def advance(self, k: int) -> None:
-        """Charge k nodes at once, as k calls of tick() would: raises at the
-        first node past the node limit (leaving the count there, as tick()
-        does), and checks the deadline whenever the count crosses a multiple
-        of 1024."""
+        The charge acts as one charge per node would: it raises at the first
+        node past the node limit, leaving the count there, and checks the
+        deadline whenever the count crosses a multiple of 1024."""
         before = self.nodes
-        self.nodes += k
-        if self.node_limit is not None and self.nodes > self.node_limit:
+        self.nodes = nodes
+        if self.node_limit is not None and nodes > self.node_limit:
             self.nodes = self.node_limit + 1
             raise SearchBudgetExceeded(f"node limit exceeded after {self.nodes} nodes")
         if (
             self.deadline is not None
-            and before | self._check_mask < self.nodes
+            and before | self._check_mask < nodes
             and time.monotonic() > self.deadline
         ):
-            raise SearchBudgetExceeded(f"time limit exceeded after {self.nodes} nodes")
-
-    def sync(self, nodes: int) -> float:
-        """Bring the count up to `nodes`, charging the difference as advance()
-        does, and return the largest count the caller may reach before its
-        next sync(): past it the node limit or the deadline could stop the
-        search. For callers that count nodes locally."""
-        self.advance(nodes - self.nodes)
+            raise SearchBudgetExceeded(f"time limit exceeded after {nodes} nodes")
         horizon = math.inf if self.node_limit is None else self.node_limit
         if self.deadline is not None:
-            horizon = min(horizon, self.nodes | self._check_mask)
+            horizon = min(horizon, nodes | self._check_mask)
         return horizon
 
 
@@ -147,6 +137,7 @@ def _first_labeling(
     repeats: int = 0,
     sum_range: tuple[int, int] | None = None,
     unused: int = 0,
+    links: list[int] | None = None,
 ) -> Optional[tuple[int, ...]]:
     """The lexicographically first labeling along `order`, indexed by vertex,
     whose q edge values are pairwise distinct and fit in a window of q
@@ -195,6 +186,11 @@ def _first_labeling(
     only one label of the mask is still unused, that label is left out of
     the candidates, neither visited nor charged: using it would leave the
     spare label outside the mask.
+
+    `links[i] = j >= 0` says that the label at position i must exceed the
+    label at position j < i, for injective labelings (-1: no such link).
+    The labels up to that one are left out of the candidates, neither
+    visited nor charged.
     """
     p, q = g.p, g.q
     pos_of = [0] * p
@@ -212,6 +208,7 @@ def _first_labeling(
     both = (1 << 2 * q) - 1  # the residues 0..q-1 and their copies q..2q-1
     below_top = (1 << top) - 1
     labels = [0] * p
+    links = links or [-1] * p
     nodes = clock.nodes
     check_at = clock.sync(nodes)
     seen0 = bound_end = 0
@@ -249,6 +246,8 @@ def _first_labeling(
         if i == p:
             return True
         ok = masks[i] if spare else masks[i] & ~used
+        if links[i] >= 0:
+            ok &= -2 << labels[links[i]]
         if unused:
             left = unused & ~used
             if not left & left - 1:
@@ -341,12 +340,13 @@ def _first_labeling(
 
 
 def _consecutive_sum_search(
-    g: Graph, lo: int, hi: int, clock: _BudgetClock
-) -> Optional[tuple[int, ...]]:
-    """Injective labeling of V(g) into [lo, hi] whose q edge sums are
-    duplicate-free and consecutive, or None if none exists.
+    g: Graph, lo: int, tops: Iterable[int], clock: _BudgetClock
+) -> Iterator[Optional[tuple[int, ...]]]:
+    """For each hi in `tops`, in turn: an injective labeling of V(g) into
+    [lo, hi] whose q edge sums are duplicate-free and consecutive, or None
+    if none exists.
 
-    Returns labels indexed by vertex: the lexicographically first labeling
+    Yields labels indexed by vertex: the lexicographically first labeling
     along `_search_order` (degree descending, so that the weighted-sum
     bound holds; then most neighbours already placed; then lowest index).
     Prunes on duplicate sums and on the sum span
@@ -372,52 +372,81 @@ def _consecutive_sum_search(
     - Lex-leader: automorphisms and the complement f -> lo+hi-f map valid
       labelings to valid labelings, so the first one is no larger at the
       first position v0 than any of those images. Hence f(v0) <= (lo+hi)//2,
-      and every other w in v0's automorphism orbit has
-      f(v0) < f(w) <= lo+hi-f(v0).
+      and every other w in the computed part O of v0's automorphism orbit
+      has f(v0) < f(w) <= lo+hi-f(v0).
+    - Stabiliser chain: let v_i be the vertex at position i >= 1, and sigma
+      an automorphism that fixes v_0, ..., v_{i-1} and maps O onto itself.
+      Then f o sigma is valid, keeps every candidate range above (and the
+      sum window and U), and agrees with f before position i, so the first
+      labeling f has f(v_i) <= f(sigma(v_i)), and f(sigma(v_i)) > f(v_i) as
+      f is injective. The kernel takes one such link per position, from the
+      last i that has one (`graphs.stabiliser_links`).
+
+    The vertex order, O and the links depend on g alone, so one call works
+    each out once: the order and the links without O at the first range
+    that counting does not refute, where f(v0) = lo leaves every range
+    whole; O and the links that keep it when a search first gets past
+    f(v0) = lo.
     """
     p, q = g.p, g.q
-    if hi - lo + 1 < p:
-        return None
-    if q == 0:
-        return tuple(range(lo, lo + p))
     degrees = sorted(g.degrees(), reverse=True)
-    weight_min = sum(d * (lo + i) for i, d in enumerate(degrees))
-    weight_max = sum(d * (hi - i) for i, d in enumerate(degrees))
     offset = q * (q - 1) // 2
-    s_min = max(2 * lo + 1, -((offset - weight_min) // q))
-    s_max = min(2 * hi - q, (weight_max - offset) // q)
-    if s_min > s_max:
-        return None
-    unused = 0
-    if hi - lo == p and degrees[-1] == degrees[0]:
-        total = (lo + hi) * (p + 1) // 2
-        for s in range(s_min, s_max + 1):
-            kept, remainder = divmod(q * s + offset, degrees[0])
-            if not remainder and lo <= total - kept <= hi:
-                unused |= 1 << total - kept
-        if not unused:
-            return None
+    order: list[int] = []
+    orbit: list[int] | None = None
+    links: list[int] = []
+    orbit_links: list[int] = []
 
-    order = _search_order(g)
-    v0 = order[0]
-    # The loop over f(v0) narrows the ranges of v0 and its automorphic images.
-    candidates = [range(lo, hi + 1)] * p
-    orbit: list[int] = []
-    for first in range(lo, (lo + hi) // 2 + 1):
-        if first == lo + 1:
-            # With f(v0) = lo the orbit range [lo+1, hi] cuts nothing, so the
-            # orbit is worked out only once the search gets past that label.
-            orbit = [w for w in automorphism_orbit(g, v0) if w != v0]
-        candidates[v0] = range(first, first + 1)
-        for w in orbit:
-            candidates[w] = range(first + 1, lo + hi - first + 1)
-        labels = _first_labeling(
-            g, order, candidates, "sum", clock,
-            sum_range=(s_min, s_max + q - 1), unused=unused,
-        )
-        if labels is not None:
-            return labels
-    return None
+    def search(hi: int) -> Optional[tuple[int, ...]]:
+        nonlocal order, orbit, links, orbit_links
+        if hi - lo + 1 < p:
+            return None
+        if q == 0:
+            return tuple(range(lo, lo + p))
+        weight_min = sum(d * (lo + i) for i, d in enumerate(degrees))
+        weight_max = sum(d * (hi - i) for i, d in enumerate(degrees))
+        s_min = max(2 * lo + 1, -((offset - weight_min) // q))
+        s_max = min(2 * hi - q, (weight_max - offset) // q)
+        if s_min > s_max:
+            return None
+        unused = 0
+        if hi - lo == p and degrees[-1] == degrees[0]:
+            total = (lo + hi) * (p + 1) // 2
+            for s in range(s_min, s_max + 1):
+                kept, remainder = divmod(q * s + offset, degrees[0])
+                if not remainder and lo <= total - kept <= hi:
+                    unused |= 1 << total - kept
+            if not unused:
+                return None
+        if not order:
+            order = _search_order(g)
+            links = stabiliser_links(g, order, 0)
+        v0 = order[0]
+        candidates = [range(lo, hi + 1)] * p
+        for first in range(lo, (lo + hi) // 2 + 1):
+            if first == lo + 1 and orbit is None:
+                # With f(v0) = lo the orbit range [lo+1, hi] cuts nothing, so
+                # the orbit, and the links that must keep it, are worked out
+                # only once a search gets past that label.
+                orbit = [w for w in automorphism_orbit(g, v0) if w != v0]
+                keep = sum(1 << w for w in orbit)
+                orbit_links = stabiliser_links(g, order, keep) if keep else links
+            # The loop over f(v0) narrows the ranges of v0 and its automorphic
+            # images.
+            candidates[v0] = range(first, first + 1)
+            if first > lo:
+                for w in orbit:
+                    candidates[w] = range(first + 1, lo + hi - first + 1)
+            labels = _first_labeling(
+                g, order, candidates, "sum", clock,
+                sum_range=(s_min, s_max + q - 1), unused=unused,
+                links=orbit_links if first > lo else links,
+            )
+            if labels is not None:
+                return labels
+        return None
+
+    for hi in tops:
+        yield search(hi)
 
 
 def find_sem_labeling(
@@ -431,7 +460,7 @@ def find_sem_labeling(
     if max_label < g.p:
         raise ValueError("max_label must be at least the graph order")
     clock = _BudgetClock(budget)
-    labels = _consecutive_sum_search(g, 1, max_label, clock)
+    labels = next(_consecutive_sum_search(g, 1, [max_label], clock))
     return None if labels is None else Labeling(labels)
 
 
@@ -495,9 +524,10 @@ def deficiency(
     if cert is not None:
         return DeficiencyResult.infinite(cert)
     clock = _BudgetClock(budget)
+    searches = _consecutive_sum_search(g, 1, range(g.p, g.p + cap + 1), clock)
     for extra in range(cap + 1):
         try:
-            labels = _consecutive_sum_search(g, 1, g.p + extra, clock)
+            labels = next(searches)
         except SearchBudgetExceeded:
             return DeficiencyResult.unknown(extra, "budget")
         if labels is not None:
@@ -526,10 +556,12 @@ def strength(g: Graph, budget: SearchBudget | None = None) -> int:
 
     labels = [0] * p
     full = (1 << p) - 1
+    nodes = 0
+    check_at = clock.sync(nodes)
 
     def assign(next_label: int, cur_max: int, unlabeled: int) -> None:
         # labels[v] is read only while v is labelled, so it is never reset.
-        nonlocal best
+        nonlocal best, nodes, check_at
         if cur_max >= best:
             return
         if next_label == 0:
@@ -548,7 +580,9 @@ def strength(g: Graph, budget: SearchBudget | None = None) -> int:
         for v in vertex_order:
             if not unlabeled >> v & 1:
                 continue
-            clock.tick()
+            nodes += 1
+            if nodes > check_at:
+                check_at = clock.sync(nodes)
             realized = cur_max
             nb = adj[v] & ~unlabeled
             while nb:
@@ -564,6 +598,7 @@ def strength(g: Graph, budget: SearchBudget | None = None) -> int:
                 assign(next_label - 1, realized, unlabeled & ~(1 << v))
 
     assign(p, 0, full)
+    clock.sync(nodes)
     return best
 
 
@@ -676,5 +711,5 @@ def find_sequential(
         raise ValueError("sequential search needs at least one edge")
     top, _ = label_domain(g, "sequential")
     clock = _BudgetClock(budget)
-    labels = _consecutive_sum_search(g, 0, top, clock)
+    labels = next(_consecutive_sum_search(g, 0, [top], clock))
     return None if labels is None else Labeling(labels)

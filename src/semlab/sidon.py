@@ -85,6 +85,8 @@ def rho_star(n: int, budget: SearchBudget | None = None) -> int:
     clock = _BudgetClock(budget)
     best = pairwise_sum_span(_greedy_ws_prefix(n))
     xs = [1]
+    nodes = 0
+    check_at = clock.sync(nodes)
 
     def extend(k: int, elems: int, sums: int) -> None:
         # xs holds k chosen elements (xs[0] == 1), elems is their bitmask and
@@ -92,13 +94,13 @@ def rho_star(n: int, budget: SearchBudget | None = None) -> int:
         # position k ascending. Candidate c is admissible iff no x + c is
         # already a sum, i.e. bit c of `forbidden` is clear, so the scan
         # jumps from one admissible c to the next; the skipped candidates
-        # are still charged to the clock, one node each.
+        # are still counted, one node each.
         # The span is x_n + x_{n-1} - x_2 - x_1 + 1 with x_1 = 1. Before the
         # last element, x_{n-1} >= c+m-1 and the reflection condition
         # x_n >= x_{n-1} + x_2 - 1 bound it below by 2c + 2m - 3 (this
         # subsumes 2c + 2m - 1 - x_2 from x_n >= c+m, as x_2 >= 2). For the
         # last element, c + last - x_2 is its exact span.
-        nonlocal best
+        nonlocal best, nodes, check_at
         m = n - k - 1  # elements still to place after the next one
         last = xs[-1]
         forbidden = 0
@@ -113,9 +115,13 @@ def rho_star(n: int, budget: SearchBudget | None = None) -> int:
             nxt = c + (a & -a).bit_length() - 1
             if nxt >= stop:
                 if stop > c:
-                    clock.advance(stop - c)
+                    nodes += stop - c
+                    if nodes > check_at:
+                        check_at = clock.sync(nodes)
                 return
-            clock.advance(nxt - c + 1)
+            nodes += nxt - c + 1
+            if nodes > check_at:
+                check_at = clock.sync(nodes)
             if m:
                 xs.append(nxt)
                 extend(k + 1, elems | 1 << nxt, sums | elems << nxt)
@@ -125,6 +131,7 @@ def rho_star(n: int, budget: SearchBudget | None = None) -> int:
             c = nxt + 1
 
     extend(1, 2, 0)
+    clock.sync(nodes)
     return best
 
 

@@ -51,6 +51,26 @@ def placement_order(g: Graph) -> list[int]:
     return order
 
 
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every vertex permutation that maps the edge set onto itself."""
+    edges = set(g.edges)
+    return [
+        perm
+        for perm in itertools.permutations(range(g.p))
+        if all(tuple(sorted((perm[u], perm[v]))) in edges for u, v in g.edges)
+    ]
+
+
+def stabiliser_orbit(autos, order, j: int, keep: set) -> set:
+    """Images of order[j] under the permutations in `autos` that fix
+    order[0..j-1] one by one and map the vertex set `keep` onto itself."""
+    return {
+        perm[order[j]]
+        for perm in autos
+        if all(perm[v] == v for v in order[:j]) and {perm[v] for v in keep} == keep
+    }
+
+
 def brute_lexfirst_sem(g: Graph, lo: int, hi: int, order):
     """First injective labeling into [lo, hi] with consecutive sums, with
     labels assigned to the vertices in `order` and candidate tuples taken in

@@ -101,8 +101,9 @@ class TestJThreshold:
 
 class TestPrismBounds:
     def test_n4(self):
+        # The decided value is the proven lower bound.
         row = prism_bounds(4)
-        assert (row.lower, row.upper, row.old_upper, row.exact) == (1, 5, 5, 5)
+        assert (row.lower, row.upper, row.old_upper, row.exact) == (5, 5, 5, 5)
         assert row.status == "exact"
 
     def test_n6(self):

@@ -389,7 +389,7 @@ SURVEY_4 = (
 PRISM_3_4 = (
     "n,lower,upper,old_upper,exact,status,provenance\n"
     "3,0,0,,0,exact,odd cycle: exactly zero\n"
-    '4,1,5,5,5,exact,"bracket [1, n+1]; previous bound 3n/2-1 when 4 | n; exact by search"\n'
+    '4,5,5,5,5,exact,"bracket [1, n+1]; previous bound 3n/2-1 when 4 | n; exact by search"\n'
 )
 NOT_IMPLIED = "no certificate (finiteness is NOT implied)"
 

@@ -23,6 +23,7 @@ from semlab.graphs import (
     enumerate_trees,
     is_tree,
     parse_graph6,
+    stabiliser_links,
 )
 from semlab.labelings import (
     Labeling,
@@ -193,8 +194,8 @@ class TestSearchOrder:
     @pytest.mark.parametrize(
         "n, seed, nodes",
         [
-            (8, 0, 3_166), (8, 1, 102), (8, 2, 15_667), (8, 3, 12_794),
-            (10, 0, 473_686), (10, 1, 166_001), (10, 2, 45_540), (10, 3, 3_619),
+            (8, 0, 3_165), (8, 1, 102), (8, 2, 14_989), (8, 3, 12_792),
+            (10, 0, 473_681), (10, 1, 166_001), (10, 2, 41_793), (10, 3, 3_591),
         ],
     )
     def test_renumbered_prism_extra_one_nodes_are_pinned(self, n, seed, nodes):
@@ -267,6 +268,55 @@ class TestLexFirstWitness:
         assert [find_sem_labeling(g, top) for g, top in cases] == full
 
 
+class TestStabiliserLinks:
+    """`stabiliser_links` gives position k the last position j >= 1 whose
+    vertex an automorphism fixing the vertices before j, and keeping the
+    orbit set, maps to the vertex at k; the kernel then makes the label at k
+    exceed the label at j."""
+
+    def test_links_match_brute_force_stabiliser_orbits(self):
+        # Every prefix of the order of every graph of order <= 6, with no
+        # orbit set, the whole orbit of v0 and each one-vertex part of it.
+        # At this order the step allowance never runs out, so every link is
+        # found as well as sound.
+        for g in oracles.atlas_graphs(6):
+            order = oracles.placement_order(g)
+            autos = oracles.automorphisms(g)
+            orbit = {perm[order[0]] for perm in autos} - {order[0]}
+            for keep in [set(), orbit] + [{w} for w in sorted(orbit)]:
+                links = stabiliser_links(g, order, sum(1 << w for w in keep))
+                for k, w in enumerate(order):
+                    want = [
+                        j for j in range(1, k)
+                        if w in oracles.stabiliser_orbit(autos, order, j, keep)
+                    ]
+                    assert links[k] == max(want, default=-1), (g.edges, keep, k)
+
+    def test_shortened_orbit_refuses_the_link_that_moves_it(self, monkeypatch):
+        # On the cube, an automorphism fixing 0 maps 1 to 3, so the position
+        # of 3 links to that of 1. With the orbit of 0 cut down to {0, 1},
+        # every automorphism that keeps {1} fixes 1, and the link must go.
+        g = build_prism(4)
+        order = _search_order(g)
+        want = [find_sem_labeling(g, top) for top in range(8, 14)]
+        want.append(deficiency(g, 7))
+        made = []
+
+        def links_made(g, order, keep):
+            links = stabiliser_links(g, order, keep)
+            made.append((keep, links))
+            return links
+
+        monkeypatch.setattr(search_mod, "stabiliser_links", links_made)
+        monkeypatch.setattr(search_mod, "automorphism_orbit", lambda g, v: [0, 1])
+        found = [find_sem_labeling(g, top) for top in range(8, 14)]
+        found.append(deficiency(g, 7))
+        assert found == want
+        links = dict(made)
+        assert links[0][order.index(3)] == order.index(1)
+        assert links[1 << 1][order.index(3)] != order.index(1)
+
+
 def deficiency_cap7(g, budget):
     """deficiency(g, 7) as an engine: its witness, or SearchBudgetExceeded
     when the budget ran out."""
@@ -284,10 +334,10 @@ def deficiency_cap7(g, budget):
         (find_harmonious, build_complete(6), 66_461, None),
         (find_sequential, build_cycle(11), 64, (0, 5, 1, 6, 2, 7, 8, 3, 9, 4, 10)),
         (find_sequential, build_prism(5), 132, (0, 2, 1, 3, 5, 9, 4, 6, 8, 7)),
-        (find_sequential, build_prism(4), 87_714, None),
+        (find_sequential, build_prism(4), 16_077, None),
         (find_alpha_valuation, build_path(10), 841, (4, 5, 3, 6, 2, 7, 1, 8, 0, 9)),
         (find_alpha_valuation, build_prism(4), 825, (0, 4, 2, 12, 6, 3, 10, 1)),
-        (deficiency_cap7, build_prism(4), 174_408, (1, 5, 2, 8, 10, 3, 13, 4, 6, 7, 9, 11, 12)),
+        (deficiency_cap7, build_prism(4), 36_400, (1, 5, 2, 8, 10, 3, 13, 4, 6, 7, 9, 11, 12)),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
@@ -318,7 +368,7 @@ def test_kernel_exploration_is_pinned():
             digest.update(repr((witness, nodes)).encode())
     assert len(graphs) == 247
     assert digest.hexdigest() == (
-        "f6ce2883b820fb88121eff81b42c58bf00b1e2f052813b91bcc48a3d4f6e377f"
+        "39a760cd9e9a1b3685354e193c8c22cf6e53e5f68219cac99ab9c4dc46cff317"
     )
 
 
@@ -334,14 +384,14 @@ def test_sweep_node_totals_are_pinned():
     atlas = [g for g in oracles.atlas_graphs(7) if g.q]
     sweeps = [
         (trees, find_harmonious, 9_697_573),
-        (trees, find_sequential, 885_705),
+        (trees, find_sequential, 98_293),
         (trees, find_alpha_valuation, 3_561_019),
-        (trees, sem_at(0), 885_705),
-        (trees, sem_at(1), 1_647_233),
-        (trees, sem_at(2), 1_897_684),
+        (trees, sem_at(0), 98_293),
+        (trees, sem_at(1), 211_873),
+        (trees, sem_at(2), 255_808),
         (atlas, find_harmonious, 8_130_472),
-        (atlas, find_sequential, 18_143_656),
-        (atlas, sem_at(1), 840_851),
+        (atlas, find_sequential, 3_429_503),
+        (atlas, sem_at(1), 426_744),
     ]
     for graphs, search, total in sweeps:
         assert sum(counted(search, g)[1] for g in graphs) == total, search.__name__
@@ -381,7 +431,7 @@ class TestUnusedLabelPin:
 
     @pytest.mark.parametrize(
         "n, nodes",
-        [(6, 733), (8, 795), (10, 71_151), (12, 339_990), (14, 2_738_224), (16, 1_097_676)],
+        [(6, 732), (8, 795), (10, 71_149), (12, 339_990), (14, 2_738_224), (16, 1_097_676)],
     )
     def test_prism_extra_one_nodes_are_pinned(self, n, nodes):
         # For D_2k at extra 1, U = {k + 1, 3k + 1}.
@@ -747,56 +797,60 @@ class TestExactBudget:
                     search(g, SearchBudget(node_limit=nodes - 1))
 
     def test_time_limit_stops_kernel_search(self):
-        # K7 minus three disjoint edges: find_sequential refutes it in
-        # 3,143,866 nodes, far more than the budget allows.
+        # D18 at extra 1 takes tens of millions of nodes, far more than the
+        # budget allows.
         start = time.monotonic()
         with pytest.raises(SearchBudgetExceeded, match="time limit"):
-            find_sequential(parse_graph6("Fvz~o"), SearchBudget(time_limit=0.05))
+            find_sem_labeling(build_prism(18), 37, SearchBudget(time_limit=0.05))
         assert time.monotonic() - start < 2.0
 
 
 class TestBudgetClockAdvance:
+    """`_BudgetClock.sync` charges a caller's running count as one charge per
+    node would."""
+
     def test_advance_to_limit_then_one_more(self):
         clock = _BudgetClock(SearchBudget(node_limit=100))
-        clock.advance(60)
-        clock.advance(40)
+        clock.sync(60)
+        clock.sync(100)
         assert clock.nodes == 100
         with pytest.raises(SearchBudgetExceeded):
-            clock.advance(1)
+            clock.sync(101)
 
     def test_large_jump_past_limit(self):
         clock = _BudgetClock(SearchBudget(node_limit=100))
         with pytest.raises(SearchBudgetExceeded, match="after 101 nodes"):
-            clock.advance(10_000)
-        # The count stops where tick() would have raised.
+            clock.sync(10_000)
+        # The count stops at the first node past the limit.
         assert clock.nodes == 101
 
     def test_deadline_checked_when_crossing_1024(self):
         clock = _BudgetClock(SearchBudget(time_limit=60))
         clock.deadline = time.monotonic() - 1.0  # already past
-        clock.advance(1000)  # 0 -> 1000 crosses no multiple of 1024
-        clock.advance(23)  # 1000 -> 1023
+        clock.sync(1000)  # 0 -> 1000 crosses no multiple of 1024
+        assert clock.sync(1023) == 1023  # the next sync must come past 1023
         with pytest.raises(SearchBudgetExceeded, match="time limit"):
-            clock.advance(2)  # 1023 -> 1025 crosses 1024
+            clock.sync(1025)  # 1023 -> 1025 crosses 1024
 
     def test_matches_tick(self):
-        # Charging in chunks raises iff the same number of ticks would.
+        # Charging in chunks raises iff charging one node at a time would,
+        # and leaves the same count.
         rng = random.Random(7)
         for _ in range(200):
             limit = rng.randint(1, 3000)
             chunks = [rng.randint(0, 200) for _ in range(rng.randint(1, 30))]
-            ticked = _BudgetClock(SearchBudget(node_limit=limit))
-            advanced = _BudgetClock(SearchBudget(node_limit=limit))
-            tick_raised = advance_raised = False
+            single = _BudgetClock(SearchBudget(node_limit=limit))
+            chunked = _BudgetClock(SearchBudget(node_limit=limit))
+            single_raised = chunked_raised = False
             try:
-                for _ in range(sum(chunks)):
-                    ticked.tick()
+                for nodes in range(1, sum(chunks) + 1):
+                    single.sync(nodes)
             except SearchBudgetExceeded:
-                tick_raised = True
+                single_raised = True
             try:
-                for k in chunks:
-                    advanced.advance(k)
+                for k in itertools.accumulate(chunks):
+                    chunked.sync(k)
             except SearchBudgetExceeded:
-                advance_raised = True
-            assert tick_raised == advance_raised
-            assert ticked.nodes == advanced.nodes
+                chunked_raised = True
+            assert single_raised == chunked_raised
+            assert single.nodes == chunked.nodes
