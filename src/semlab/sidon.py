@@ -77,6 +77,13 @@ def rho_star(n: int, budget: SearchBudget | None = None) -> int:
     reverses the gaps, so some optimal set meets the condition. One node
     is counted per candidate tested, admissible or not. Raises
     SearchBudgetExceeded if the budget runs out.
+
+    Each search node carries four bitmasks of the elements chosen so far:
+    `elems` (bit x per element x), `sums` (bit x + y per pair), `diffs`
+    (bit y - x per pair x < y) and `forbidden`, whose bit d, for every d
+    above the largest chosen element, is set iff d + x is in `sums` for
+    some chosen x, i.e. iff d is not admissible. `rev` has bit top - x per
+    element x, so that the new differences c - x are one shift.
     """
     if n < 2:
         raise ValueError("span is defined for cardinality >= 2")
@@ -84,53 +91,79 @@ def rho_star(n: int, budget: SearchBudget | None = None) -> int:
         return 1
     clock = _BudgetClock(budget)
     best = pairwise_sum_span(_greedy_ws_prefix(n))
-    xs = [1]
+    # Every element chosen before the last one is below the first best.
+    top = best
     nodes = 0
     check_at = clock.sync(nodes)
 
-    def extend(k: int, elems: int, sums: int) -> None:
-        # xs holds k chosen elements (xs[0] == 1), elems is their bitmask and
-        # sums the bitmask of their pairwise sums. Chooses candidates for
-        # position k ascending. Candidate c is admissible iff no x + c is
-        # already a sum, i.e. bit c of `forbidden` is clear, so the scan
-        # jumps from one admissible c to the next; the skipped candidates
-        # are still counted, one node each.
+    def extend(m: int, c: int, x2: int, elems: int, sums: int, diffs: int,
+               forbidden: int, rev: int) -> None:
+        # Chooses the candidates for one position ascending, from c, its
+        # first admissible candidate, already charged; m elements are still
+        # to place after it and x2 is the second element, 0 while this is
+        # the second position. Choosing c gives the child the masks
+        #   sums' = sums | elems << c
+        #   forbidden' = forbidden | diffs << c | sums' >> c
+        #   diffs' = diffs | rev >> (top - c)
+        # as, for d > c, d + x is in sums' (x chosen or x = c) iff d + x is
+        # in sums, or d = c + e - x with e > x both chosen, or d + c is in
+        # sums'. The scans jump from one clear bit of forbidden to the next
+        # and charge the skipped candidates in bulk, one node each. This
+        # loop also does each child's first scan, so a child with no
+        # candidate below its stop is charged here and never called.
         # The span is x_n + x_{n-1} - x_2 - x_1 + 1 with x_1 = 1. Before the
         # last element, x_{n-1} >= c+m-1 and the reflection condition
         # x_n >= x_{n-1} + x_2 - 1 bound it below by 2c + 2m - 3 (this
         # subsumes 2c + 2m - 1 - x_2 from x_n >= c+m, as x_2 >= 2). For the
-        # last element, c + last - x_2 is its exact span.
+        # last element d, d + x_{n-1} - x_2 is its exact span. Each stop is
+        # the first candidate whose bound reaches best.
         nonlocal best, nodes, check_at
-        m = n - k - 1  # elements still to place after the next one
-        last = xs[-1]
-        forbidden = 0
-        for x in xs:
-            forbidden |= sums >> x
         free = ~forbidden
-        c = last + 1 if m else last + xs[1] - 1
         while True:
-            # The first candidate whose span bound reaches best.
-            stop = (best - 2 * m + 4) // 2 if m else best - last + xs[1]
-            a = free >> c
-            nxt = c + (a & -a).bit_length() - 1
-            if nxt >= stop:
-                if stop > c:
-                    nodes += stop - c
+            y = x2 or c
+            child_sums = sums | elems << c
+            child_forbidden = forbidden | diffs << c | child_sums >> c
+            if m > 1:
+                lo = c + 1
+                stop = (best - 2 * m + 6) // 2
+            else:
+                lo = c + y - 1
+                stop = best - c + y
+            a = ~child_forbidden >> lo
+            nxt = lo + (a & -a).bit_length() - 1
+            if nxt < stop:
+                nodes += nxt - lo + 1
+                if nodes > check_at:
+                    check_at = clock.sync(nodes)
+                if m > 1:
+                    extend(m - 1, nxt, y, elems | 1 << c, child_sums,
+                           diffs | rev >> (top - c), child_forbidden,
+                           rev | 1 << (top - c))
+                else:
+                    best = nxt + c - y
+            elif stop > lo:
+                nodes += stop - lo
+                if nodes > check_at:
+                    check_at = clock.sync(nodes)
+            lo = c + 1
+            stop = (best - 2 * m + 4) // 2
+            a = free >> lo
+            c = lo + (a & -a).bit_length() - 1
+            if c >= stop:
+                if stop > lo:
+                    nodes += stop - lo
                     if nodes > check_at:
                         check_at = clock.sync(nodes)
                 return
-            nodes += nxt - c + 1
+            nodes += c - lo + 1
             if nodes > check_at:
                 check_at = clock.sync(nodes)
-            if m:
-                xs.append(nxt)
-                extend(k + 1, elems | 1 << nxt, sums | elems << nxt)
-                xs.pop()
-            else:
-                best = nxt + last - xs[1]
-            c = nxt + 1
 
-    extend(1, 2, 0)
+    # With nothing forbidden yet, the second element's first candidate is 2
+    # (one node, which no limit stops: a node limit is at least 1).
+    if (best - 2 * n + 8) // 2 > 2:
+        nodes = 1
+        extend(n - 2, 2, 0, 2, 0, 0, 0, 1 << (top - 1))
     clock.sync(nodes)
     return best
 

@@ -108,7 +108,8 @@ class TestRhoStar:
         assert rho_star(9, SearchBudget(node_limit=400_000)) == 62
 
     @pytest.mark.parametrize(
-        "n,nodes,value", [(8, 13_440, 43), (9, 262_615, 62)]
+        "n,nodes,value",
+        [(7, 1_765, 30), (8, 13_440, 43), (9, 262_615, 62), (10, 2_372_260, 80)],
     )
     def test_node_count_pinned(self, n, nodes, value):
         # Skipped candidates are charged in bulk but still counted, so the
@@ -116,6 +117,14 @@ class TestRhoStar:
         assert rho_star(n, SearchBudget(node_limit=nodes)) == value
         with pytest.raises(SearchBudgetExceeded):
             rho_star(n, SearchBudget(node_limit=nodes - 1))
+
+    def test_every_node_limit_at_six(self):
+        # rho*(6) takes 131 nodes. Every smaller limit must stop it, also
+        # where the last charge is that of a child scanned by its parent.
+        for limit in range(1, 131):
+            with pytest.raises(SearchBudgetExceeded):
+                rho_star(6, SearchBudget(node_limit=limit))
+        assert rho_star(6, SearchBudget(node_limit=131)) == 19
 
     def test_time_budget_raises(self):
         # rho*(12) takes far longer than the budget; the deadline is checked
@@ -127,7 +136,7 @@ class TestRhoStar:
 
     @pytest.mark.skipif(
         os.environ.get("SEMLAB_SLOW") != "1",
-        reason="cardinality 11 takes about 12 s on a 2-core x86-64 host "
+        reason="cardinality 11 takes 11-15 s on a 2-core x86-64 host "
         "with CPython 3.11; set SEMLAB_SLOW=1",
     )
     def test_cardinality_eleven_dominates_quadratic_bound(self):
