@@ -29,11 +29,15 @@ class CertificateError(ValueError):
     """A serialized infinite-deficiency certificate fails re-validation."""
 
 
+def _check_increasing(xs: Sequence[int]) -> None:
+    if (xs and xs[0] < 1) or any(a >= b for a, b in zip(xs, xs[1:])):
+        raise ValueError("input must be strictly increasing positive integers")
+
+
 def is_ws_set(xs: Sequence[int]) -> bool:
     """True iff the strictly increasing positive sequence is well spread."""
     xs = list(xs)
-    if (xs and xs[0] < 1) or any(a >= b for a, b in zip(xs, xs[1:])):
-        raise ValueError("input must be strictly increasing positive integers")
+    _check_increasing(xs)
     seen = 0
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
@@ -45,10 +49,12 @@ def is_ws_set(xs: Sequence[int]) -> bool:
 
 
 def pairwise_sum_span(xs: Sequence[int]) -> int:
-    """Largest pairwise sum minus smallest, plus one."""
+    """Largest pairwise sum minus smallest, plus one, of a strictly
+    increasing positive sequence."""
     xs = tuple(xs)
     if len(xs) < 2:
         raise ValueError("span needs at least two elements")
+    _check_increasing(xs)
     return xs[-1] + xs[-2] - xs[1] - xs[0] + 1
 
 
@@ -67,103 +73,172 @@ def _greedy_ws_prefix(n: int) -> list[int]:
     return xs
 
 
+# D(k), the least diameter x_k - x_1 of a well-spread set of k elements, for
+# k < len(_LEAST_DIAMETER); sets of at most one element have diameter 0.
+# The test suite re-derives it by an independent search.
+_LEAST_DIAMETER = (0, 0, 1, 2, 4, 7, 12, 18, 24, 34, 45, 57)
+
+
+def _least_diameter(k: int) -> int:
+    # Past the table D(k) >= D(k - 1) + 1: dropping the largest element of a
+    # well-spread k-set leaves a well-spread (k - 1)-set at least 1 shorter.
+    last = len(_LEAST_DIAMETER) - 1
+    return _LEAST_DIAMETER[min(k, last)] + max(k - last, 0)
+
+
 def rho_star(n: int, budget: SearchBudget | None = None) -> int:
     """Exact minimum pairwise-sum span over well-spread sets of size n.
 
-    Depth-first search with the first element pinned to 1 (translation
-    keeps spans and well-spreadness) and branch-and-bound pruning on the
-    achievable span. Only sets with x_n - x_{n-1} >= x_2 - x_1 are searched:
-    the reflection x -> x_1 + x_n - x keeps well-spreadness and the span and
-    reverses the gaps, so some optimal set meets the condition. One node
-    is counted per candidate tested, admissible or not. Raises
-    SearchBudgetExceeded if the budget runs out.
+    Branch and bound from both ends. The span x_n + x_{n-1} - x_2 - x_1 + 1
+    depends only on the four extreme elements, so with x_1 = 1 (translation
+    keeps spans and well-spreadness) the search loops over a = x_2, then
+    b = x_{n-1}, then z = x_n, each ascending while the span z + b - a can
+    stay below the best found, and only then asks whether n - 4 middle
+    elements fit in (a, b), placing them ascending. With D(k) the least
+    diameter of a well-spread k-set (`_least_diameter`), the cuts are:
 
-    Each search node carries four bitmasks of the elements chosen so far:
+    - z >= a + b. The reflection x -> x_1 + x_n - x keeps well-spreadness
+      and the span and reverses the gaps, so some optimal set has
+      z - b >= a - 1; and z = a + b - 1 would give 1 + z = a + b.
+    - b >= a + D(n - 2), b >= 1 + D(n - 1) and z >= 1 + D(n), as
+      x_2..x_{n-1}, x_1..x_{n-1} and the whole set are well spread.
+    - A middle candidate d with k elements still to place, d included,
+      needs b - d >= D(k + 1), as d, the k - 1 after it and b are well
+      spread, and at least k admissible positions in [d, b).
+
+    One node is counted per candidate tested, admissible or not: each a,
+    b and z whose bound is below the best span, and each middle position
+    scanned, up to the first admissible one, which is then tested against
+    the slot cut, or up to the diameter stop. Inadmissible positions are
+    skipped by a bit scan and charged in bulk. Raises SearchBudgetExceeded
+    if the budget runs out.
+
+    The middle search carries bitmasks of the elements chosen so far:
     `elems` (bit x per element x), `sums` (bit x + y per pair), `diffs`
     (bit y - x per pair x < y) and `forbidden`, whose bit d, for every d
-    above the largest chosen element, is set iff d + x is in `sums` for
-    some chosen x, i.e. iff d is not admissible. `rev` has bit top - x per
-    element x, so that the new differences c - x are one shift.
+    above the last middle element chosen (every d before the first), is
+    set iff d + x is in `sums` for some chosen x, i.e. iff d is not
+    admissible. `rev` has bit z - x
+    per element x, so that the new differences c - x are one shift.
     """
     if n < 2:
         raise ValueError("span is defined for cardinality >= 2")
-    if n == 2:
-        return 1
+    if n < 4:
+        # The span is 1 for n = 2 and x_3 - x_1 + 1 >= 3 for n = 3, which
+        # {1, 2, 3} attains.
+        return 2 * n - 3
     clock = _BudgetClock(budget)
     best = pairwise_sum_span(_greedy_ws_prefix(n))
-    # Every element chosen before the last one is below the first best.
-    top = best
+    least = [_least_diameter(k) for k in range(n + 1)]
     nodes = 0
     check_at = clock.sync(nodes)
 
-    def extend(m: int, c: int, x2: int, elems: int, sums: int, diffs: int,
-               forbidden: int, rev: int) -> None:
-        # Chooses the candidates for one position ascending, from c, its
-        # first admissible candidate, already charged; m elements are still
-        # to place after it and x2 is the second element, 0 while this is
-        # the second position. Choosing c gives the child the masks
+    def fill(k: int, c: int, elems: int, sums: int, diffs: int,
+             forbidden: int, rev: int) -> bool:
+        # Tries the candidates for one middle position ascending, from c,
+        # its first, already charged and past both cuts; k elements are
+        # still to place, c included, below b (window = 1 << b) and with z
+        # the largest element. True iff the middle can be completed.
+        # Choosing c gives the child the masks
         #   sums' = sums | elems << c
         #   forbidden' = forbidden | diffs << c | sums' >> c
-        #   diffs' = diffs | rev >> (top - c)
+        #   diffs' = diffs | rev >> (z - c) | elems >> c
         # as, for d > c, d + x is in sums' (x chosen or x = c) iff d + x is
         # in sums, or d = c + e - x with e > x both chosen, or d + c is in
-        # sums'. The scans jump from one clear bit of forbidden to the next
-        # and charge the skipped candidates in bulk, one node each. This
-        # loop also does each child's first scan, so a child with no
-        # candidate below its stop is charged here and never called.
-        # The span is x_n + x_{n-1} - x_2 - x_1 + 1 with x_1 = 1. Before the
-        # last element, x_{n-1} >= c+m-1 and the reflection condition
-        # x_n >= x_{n-1} + x_2 - 1 bound it below by 2c + 2m - 3 (this
-        # subsumes 2c + 2m - 1 - x_2 from x_n >= c+m, as x_2 >= 2). For the
-        # last element d, d + x_{n-1} - x_2 is its exact span. Each stop is
-        # the first candidate whose bound reaches best.
-        nonlocal best, nodes, check_at
+        # sums'; the new differences are c - x for the chosen x < c and
+        # y - c for y = b, z. This loop also does each child's first scan
+        # and cuts, so a child with no candidate left is charged here and
+        # never called.
+        nonlocal nodes, check_at
         free = ~forbidden
+        stop = b - least[k + 1] + 1
+        child_stop = b - least[k] + 1
         while True:
-            y = x2 or c
             child_sums = sums | elems << c
             child_forbidden = forbidden | diffs << c | child_sums >> c
-            if m > 1:
-                lo = c + 1
-                stop = (best - 2 * m + 6) // 2
-            else:
-                lo = c + y - 1
-                stop = best - c + y
-            a = ~child_forbidden >> lo
-            nxt = lo + (a & -a).bit_length() - 1
-            if nxt < stop:
-                nodes += nxt - lo + 1
-                if nodes > check_at:
-                    check_at = clock.sync(nodes)
-                if m > 1:
-                    extend(m - 1, nxt, y, elems | 1 << c, child_sums,
-                           diffs | rev >> (top - c), child_forbidden,
-                           rev | 1 << (top - c))
-                else:
-                    best = nxt + c - y
-            elif stop > lo:
-                nodes += stop - lo
-                if nodes > check_at:
-                    check_at = clock.sync(nodes)
+            child_free = ~child_forbidden
             lo = c + 1
-            stop = (best - 2 * m + 4) // 2
-            a = free >> lo
-            c = lo + (a & -a).bit_length() - 1
+            w = child_free >> lo
+            d = lo + (w & -w).bit_length() - 1
+            if d < child_stop:
+                nodes += d - lo + 1
+                if nodes > check_at:
+                    check_at = clock.sync(nodes)
+                if k == 2:  # d is the last middle element
+                    return True
+                if (child_free & (window - (1 << d))).bit_count() >= k - 1 and fill(
+                    k - 1, d, elems | 1 << c, child_sums,
+                    diffs | rev >> (z - c) | elems >> c, child_forbidden,
+                    rev | 1 << (z - c),
+                ):
+                    return True
+            elif child_stop > lo:
+                nodes += child_stop - lo
+                if nodes > check_at:
+                    check_at = clock.sync(nodes)
+            w = free >> lo
+            c = lo + (w & -w).bit_length() - 1
             if c >= stop:
                 if stop > lo:
                     nodes += stop - lo
                     if nodes > check_at:
                         check_at = clock.sync(nodes)
-                return
+                return False
             nodes += c - lo + 1
             if nodes > check_at:
                 check_at = clock.sync(nodes)
+            if (free & (window - (1 << c))).bit_count() < k:
+                return False
 
-    # With nothing forbidden yet, the second element's first candidate is 2
-    # (one node, which no limit stops: a node limit is at least 1).
-    if (best - 2 * n + 8) // 2 > 2:
-        nodes = 1
-        extend(n - 2, 2, 0, 2, 0, 0, 0, 1 << (top - 1))
+    # The span bounds, 2b (from z >= a + b) and 1 + D(n) + b - a, never
+    # fall as b grows, and the least b never falls as a grows.
+    k = n - 4
+    a = 2
+    while 2 * (b := max(a + least[n - 2], 1 + least[n - 1])) < best:
+        nodes += 1
+        if nodes > check_at:
+            check_at = clock.sync(nodes)
+        while 2 * b < best and 1 + least[n] + b - a < best:
+            nodes += 1
+            if nodes > check_at:
+                check_at = clock.sync(nodes)
+            window = 1 << b
+            stop = b - least[k + 1] + 1
+            z = max(a + b, 1 + least[n])
+            while z + b - a < best:
+                nodes += 1
+                if nodes > check_at:
+                    check_at = clock.sync(nodes)
+                if k == 0:  # {1, a, b, z} is well spread, as z != a + b - 1
+                    best = z + b - a
+                    break
+                elems = 2 | 1 << a | 1 << b | 1 << z
+                sums = (1 << 1 + a | 1 << 1 + b | 1 << 1 + z | 1 << a + b
+                        | 1 << a + z | 1 << b + z)
+                forbidden = sums >> 1 | sums >> a | sums >> b | sums >> z
+                lo = a + 1
+                w = ~forbidden >> lo
+                c = lo + (w & -w).bit_length() - 1
+                if c < stop:
+                    nodes += c - lo + 1
+                    if nodes > check_at:
+                        check_at = clock.sync(nodes)
+                    if k == 1 or (
+                        (~forbidden & (window - (1 << c))).bit_count() >= k
+                        and fill(k, c, elems, sums,
+                                 1 << a - 1 | 1 << b - 1 | 1 << z - 1
+                                 | 1 << b - a | 1 << z - a | 1 << z - b,
+                                 forbidden, 1 << z - 1 | 1 << z - a | 1 << z - b | 1)
+                    ):
+                        best = z + b - a
+                        break
+                elif stop > lo:
+                    nodes += stop - lo
+                    if nodes > check_at:
+                        check_at = clock.sync(nodes)
+                z += 1
+            b += 1
+        a += 1
     clock.sync(nodes)
     return best
 

@@ -207,6 +207,37 @@ def brute_rho_star(n: int, cap: int):
     return best
 
 
+def least_ws_diameter(k: int) -> int:
+    """Least diameter x_k - x_1 over well-spread sets of k integers.
+
+    Tries the diameters L = k - 1, k, ... in turn, with a plain depth-first
+    search for a set {0, x_2, ..., x_{k-1}, L}. The reflection x -> L - x
+    keeps well-spreadness, so x_{k-1} <= L - x_2 may be assumed.
+    """
+    if k < 3:
+        return max(k - 1, 0)
+    length = k - 1
+    while not any(
+        _ws_fill(k - 3, x2 + 1, length - x2, 1 | 1 << x2 | 1 << length,
+                 1 << x2 | 1 << length | 1 << x2 + length)
+        for x2 in range(1, length // 2 + 1)
+    ):
+        length += 1
+    return length
+
+
+def _ws_fill(left: int, low: int, high: int, elems: int, sums: int) -> bool:
+    # Can `left` more elements in [low, high] join the set with bit x of
+    # `elems` per element x and bit s of `sums` per pairwise sum s?
+    if left == 0:
+        return True
+    for c in range(low, high - left + 2):
+        if not (elems << c) & sums:
+            if _ws_fill(left - 1, c + 1, high, elems | 1 << c, sums | elems << c):
+                return True
+    return False
+
+
 def brute_max_clique_size(g: Graph) -> int:
     for size in range(g.p, 0, -1):
         for combo in itertools.combinations(range(g.p), size):

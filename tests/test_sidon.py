@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from semlab import sidon
 from semlab.graphs import Graph, build_complete, build_cycle, build_prism, enumerate_k_minus
 from semlab.search import SearchBudget, SearchBudgetExceeded
 from semlab.sidon import (
@@ -73,6 +74,15 @@ class TestSpan:
         with pytest.raises(ValueError):
             pairwise_sum_span((4,))
 
+    @pytest.mark.parametrize("xs", [(5, 1, 3), (1, 3, 3), (0, 1, 2)])
+    def test_rejects_what_is_ws_set_rejects(self, xs):
+        # The span formula reads the two smallest and two largest elements
+        # off the ends, so unsorted input would give a wrong span (-1 for
+        # (5, 1, 3)).
+        for f in (pairwise_sum_span, is_ws_set):
+            with pytest.raises(ValueError, match="strictly increasing positive"):
+                f(xs)
+
 
 class TestRhoStar:
     def test_trivial_pair(self):
@@ -104,12 +114,13 @@ class TestRhoStar:
 
     def test_reflection_fits_budget(self):
         # Searching only sets with x_n - x_{n-1} >= x_2 - x_1 decides n = 9 in
-        # 262,615 nodes; without the reflection rule it takes 629,575.
-        assert rho_star(9, SearchBudget(node_limit=400_000)) == 62
+        # 192,520 nodes; without the reflection rule (z from b + 1, and the
+        # span bound b + 1 + b - a) it takes 350,858.
+        assert rho_star(9, SearchBudget(node_limit=250_000)) == 62
 
     @pytest.mark.parametrize(
         "n,nodes,value",
-        [(7, 1_765, 30), (8, 13_440, 43), (9, 262_615, 62), (10, 2_372_260, 80)],
+        [(5, 5, 11), (7, 737, 30), (8, 4_744, 43), (9, 192_520, 62), (10, 572_686, 80)],
     )
     def test_node_count_pinned(self, n, nodes, value):
         # Skipped candidates are charged in bulk but still counted, so the
@@ -119,12 +130,60 @@ class TestRhoStar:
             rho_star(n, SearchBudget(node_limit=nodes - 1))
 
     def test_every_node_limit_at_six(self):
-        # rho*(6) takes 131 nodes. Every smaller limit must stop it, also
+        # rho*(6) takes 31 nodes. Every smaller limit must stop it, also
         # where the last charge is that of a child scanned by its parent.
-        for limit in range(1, 131):
+        for limit in range(1, 31):
             with pytest.raises(SearchBudgetExceeded):
                 rho_star(6, SearchBudget(node_limit=limit))
-        assert rho_star(6, SearchBudget(node_limit=131)) == 19
+        assert rho_star(6, SearchBudget(node_limit=31)) == 19
+
+    @pytest.mark.parametrize("n,value", [(3, 3), (4, 6)])
+    def test_no_middle_spends_no_node(self, n, value):
+        # n = 3 has the closed form x_3 - x_1 + 1 >= 3; for n = 4 the greedy
+        # set {1, 2, 3, 5} already meets the first span bound 2b.
+        assert rho_star(n, SearchBudget(node_limit=1)) == value
+
+    def test_no_middle_from_a_weak_start(self, monkeypatch):
+        # From the start {1, 2, 4, 8} (span 10), n = 4 tests a = 2, b = 3
+        # and z = 5, and {1, 2, 3, 5} fits with no middle: 3 nodes.
+        monkeypatch.setattr(sidon, "_greedy_ws_prefix", lambda n: [1 << i for i in range(n)])
+        assert rho_star(4, SearchBudget(node_limit=3)) == 6
+        with pytest.raises(SearchBudgetExceeded):
+            rho_star(4, SearchBudget(node_limit=2))
+        for n in range(5, 9):
+            assert rho_star(n) == EXACT_RHO_STAR[n]
+
+    @pytest.mark.parametrize(
+        "table",
+        [tuple(max(k - 1, 0) for k in range(12)), sidon._LEAST_DIAMETER[:7]],
+        ids=["trivial", "cut-at-six"],
+    )
+    def test_values_do_not_depend_on_the_diameter_table(self, monkeypatch, table):
+        # D(k) = k - 1 is the weakest table; the one cut after k = 6 sends
+        # every larger k through the D(k - 1) + 1 fallback.
+        monkeypatch.setattr(sidon, "_LEAST_DIAMETER", table)
+        for n in range(2, 10):
+            assert rho_star(n) == EXACT_RHO_STAR[n]
+
+    def test_least_diameter_table_reproduced(self):
+        # Frozen constants enter only with a reproduction: an independent
+        # plain search for k <= 10 (k = 11 is under SEMLAB_SLOW).
+        for k in range(11):
+            assert sidon._LEAST_DIAMETER[k] == oracles.least_ws_diameter(k)
+
+    def test_least_diameter_fallback_stays_below_the_table(self, monkeypatch):
+        table = sidon._LEAST_DIAMETER
+        monkeypatch.setattr(sidon, "_LEAST_DIAMETER", table[:7])
+        for k in range(7, len(table)):
+            assert sidon._least_diameter(k) <= table[k]
+
+    @pytest.mark.skipif(
+        os.environ.get("SEMLAB_SLOW") != "1",
+        reason="D(11) takes 9-15 s in the plain search on a 2-core x86-64 "
+        "host with CPython 3.11; set SEMLAB_SLOW=1",
+    )
+    def test_least_diameter_eleven_reproduced(self):
+        assert sidon._LEAST_DIAMETER[11] == oracles.least_ws_diameter(11)
 
     def test_time_budget_raises(self):
         # rho*(12) takes far longer than the budget; the deadline is checked
@@ -134,11 +193,6 @@ class TestRhoStar:
             rho_star(12, SearchBudget(time_limit=0.2))
         assert time.monotonic() - start < 5.0
 
-    @pytest.mark.skipif(
-        os.environ.get("SEMLAB_SLOW") != "1",
-        reason="cardinality 11 takes 11-15 s on a 2-core x86-64 host "
-        "with CPython 3.11; set SEMLAB_SLOW=1",
-    )
     def test_cardinality_eleven_dominates_quadratic_bound(self):
         assert rho_star(11) == 110 >= kotzig_lower_bound(11)
 
