@@ -299,28 +299,10 @@ def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
     return (p, best)
 
 
-# Backtracking steps one `automorphism_orbit` or `stabiliser_links` call
-# may spend; candidates left unproven when it runs out are dropped.
+# Backtracking steps that levels p-1 down to 1 of one `stabiliser_chain`
+# may spend together, and its level 0 once more; candidates left unproven
+# when the allowance runs out are dropped.
 _ORBIT_STEP_LIMIT = 20_000
-
-
-def _bfs_order(g: Graph, root: int) -> list[int]:
-    # Breadth-first from `root`, then from the least unreached vertex of each
-    # further component: every vertex but a component's first has an earlier
-    # neighbour.
-    order = []
-    seen = 0
-    for s in [root] + list(range(g.p)):
-        if seen >> s & 1:
-            continue
-        seen |= 1 << s
-        queue = [s]
-        for v in queue:
-            order.append(v)
-            for u in _bits(g.adj[v] & ~seen):
-                seen |= 1 << u
-                queue.append(u)
-    return order
 
 
 def _extend_automorphism(
@@ -328,7 +310,7 @@ def _extend_automorphism(
 ) -> bool:
     """Extend the partial map `perm` (-1 where unset) over the vertices
     `todo`, in that order, to an automorphism of g that maps each vertex x
-    into `peers[x]`, a bitmask of the vertices of its colour. True, with the
+    into `peers[x]`, a bitmask of the vertices of its degree. True, with the
     map in `perm`, once one has been found and checked edge by edge. Each
     image tried spends one of `steps[0]`; past the allowance the answer is
     False. Adjacency among the vertices set beforehand is the caller's to
@@ -341,7 +323,7 @@ def _extend_automorphism(
             image |= 1 << y
 
     def extend(k: int, placed: int, image: int) -> bool:
-        # Map todo[k:] so that colours and the adjacency to every placed
+        # Map todo[k:] so that degrees and the adjacency to every placed
         # vertex are kept.
         if k == len(todo):
             return all(g.has_edge(perm[a], perm[b]) for a, b in g.edges)
@@ -367,87 +349,84 @@ def _extend_automorphism(
     return extend(0, placed, image)
 
 
-def _peers(colors: list[int]) -> list[int]:
-    # peers[v]: the bitmask of the vertices that share v's colour.
-    classes: dict[int, int] = {}
-    for v, c in enumerate(colors):
-        classes[c] = classes.get(c, 0) | 1 << v
-    return [classes[c] for c in colors]
+def _close(reach: int, maps: list) -> int:
+    # The least vertex set holding `reach` that every map sends into itself.
+    todo = _bits(reach)
+    for x in todo:
+        for m in maps:
+            if type(m) is tuple:
+                y = m[1] if x == m[0] else m[0] if x == m[1] else x
+            else:
+                y = m[x]
+            if not reach >> y & 1:
+                reach |= 1 << y
+                todo.append(y)
+    return reach
 
 
-def automorphism_orbit(g: Graph, v: int) -> list[int]:
-    """Vertices w, in increasing order, that an automorphism of g maps v to.
+def stabiliser_chain(g: Graph, order: Sequence[int]) -> Iterator:
+    """Automorphisms of g found down the stabiliser chain of `order`, which
+    lists every vertex of g.
 
-    Always contains v. Another vertex enters only after an explicit vertex
-    permutation taking v to it has been found and checked edge by edge to
-    be an automorphism, or as the image of an orbit member under such a
-    permutation. Candidates are the vertices sharing v's stable
-    degree-refinement colour; the backtracking behind the check has a fixed
-    step allowance, and a candidate it cannot settle in time is left out.
-    So the result may miss orbit members but never holds a vertex outside
-    the orbit.
-    """
-    peers = _peers(_refine_colors(g))
-    todo = _bfs_order(g, v)[1:]
-    steps = [_ORBIT_STEP_LIMIT]
-    orbit = 1 << v
-    maps: list[list[int]] = []
-    for w in _bits(peers[v] & ~orbit):
-        if orbit >> w & 1:
-            continue
-        perm = [-1] * g.p
-        perm[v] = w
-        if _extend_automorphism(g, peers, perm, todo, steps):
-            # The orbit is closed under every map found so far.
-            maps.append(perm)
-            grown = orbit | 1 << w
-            while grown != orbit:
-                orbit = grown
-                for m in maps:
-                    for x in _bits(orbit):
-                        grown |= 1 << m[x]
-    return _bits(orbit)
+    Level j holds maps that fix order[:j] and move v = order[j] to a
+    vertex w of v's degree and adjacency to order[:j]. The levels are
+    searched from the last one up, so every map found before level j
+    fixes order[:j] too. Twins v, w (N(v) minus w equal to N(w) minus v)
+    are reached by the transposition, without a search. Any other w is
+    reached if the closure of the vertices reached so far under the maps
+    found so far holds it, or else once backtracking under the step
+    allowance finds a map, which is checked edge by edge. So a map may be
+    missed, but each one kept is an automorphism.
 
-
-def stabiliser_links(g: Graph, order: Sequence[int], keep: int) -> list[int]:
-    """For each position k of `order`, the last position j in [1, k) such
-    that an automorphism of g was found that fixes order[:j] pointwise,
-    maps the vertex set `keep` (a bitmask) onto itself and takes order[j]
-    to order[k]; -1 where there is none.
-
-    Twins v, w (N(v) minus w equal to N(w) minus v) take the transposition
-    without a search. Other candidates w for v = order[j] must share v's
-    degree, its membership of `keep` and its adjacency to order[:j]; each
-    is then settled by backtracking under the step allowance, and the map
-    is checked edge by edge. A link may therefore be missed, but each one
-    given holds.
+    A generator of two items. The first, once levels p-1 down to 1 are
+    searched, is (links, maps): links[k] is the last level j in [1, k)
+    that reached order[k], or -1; maps holds every map found, a vertex
+    list or the pair (v, w) of a twin transposition. The second searches
+    level 0, adding its maps to `maps`, and is the closure O of order[0]
+    under every map, in increasing order; so each map sends O onto itself.
     """
     p, adj = g.p, g.adj
-    peers = _peers([2 * adj[v].bit_count() + (keep >> v & 1) for v in range(p)])
+    degrees = g.degrees()
+    classes: dict[int, int] = {}
+    for v, d in enumerate(degrees):
+        classes[d] = classes.get(d, 0) | 1 << v
+    peers = [classes[d] for d in degrees]
     pos = [0] * p
     for k, v in enumerate(order):
         pos[v] = k
     links = [-1] * p
+    maps: list = []
     steps = [_ORBIT_STEP_LIMIT]
-    fixed = 0
-    for j, v in enumerate(order):
-        prefix = fixed
-        fixed |= 1 << v
+    prefix = (1 << p) - 1
+    for j in range(p - 1, -1, -1):
+        v = order[j]
+        if not j:
+            yield links, maps
+            steps[0] = _ORBIT_STEP_LIMIT
+        prefix ^= 1 << v
         rows = adj[v] & prefix
-        later = peers[v] & ~fixed if j else 0
+        reach = 1 << v
+        later = peers[v] & ~prefix & ~reach
         while later:
             bit = later & -later
             later ^= bit
             w = bit.bit_length() - 1
             if adj[w] & prefix != rows:
                 continue
-            if adj[v] & ~bit != adj[w] & ~(1 << v):
-                perm = [x if fixed >> x & 1 else -1 for x in range(p)]
-                perm[v] = w
-                if not _extend_automorphism(g, peers, perm, order[j + 1 :], steps):
-                    continue
-            links[pos[w]] = j
-    return links
+            if adj[v] & ~bit == adj[w] & ~(1 << v):
+                maps.append((v, w))
+            else:
+                reach = _close(reach, maps)
+                if not reach & bit:
+                    perm = [x if prefix >> x & 1 else -1 for x in range(p)]
+                    perm[v] = w
+                    if not _extend_automorphism(g, peers, perm, order[j + 1 :], steps):
+                        continue
+                    maps.append(perm)
+            reach |= bit
+            if j and links[pos[w]] < 0:
+                links[pos[w]] = j
+    yield _bits(_close(reach, maps))
 
 
 def enumerate_k_minus(n: int, alpha: int) -> Iterator[Graph]:

@@ -18,10 +18,11 @@ that order. The symmetry rules
 of the consecutive-sum search rely on this contract: they only cut
 branches that cannot hold that labeling. They are the lex-leader rule at
 the first vertex v0 (complement and the automorphism orbit of v0) and its
-stabiliser chain: where an automorphism fixes the first i vertices and
-maps the orbit set onto itself, the image w of the vertex at position i
-must get a larger label, so that position's link makes the kernel start
-above it. The kernel works out the
+stabiliser chain: where an automorphism fixes the first i vertices, the
+image w of the vertex at position i must get a larger label, so that
+position's link makes the kernel start above it. The orbit set is closed
+under every automorphism the chain found, so each of them maps it onto
+itself and keeps the orbit's label range. The kernel works out the
 admissible labels of each vertex as one bitmask and visits only those,
 but charges the budget one node per candidate that passes the label test,
 as a one-by-one scan would; node counts and budget outcomes are therefore
@@ -35,7 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .graphs import Graph, automorphism_orbit, bipartition, stabiliser_links
+from .graphs import Graph, bipartition, stabiliser_chain
 from .labelings import Labeling, SemCertificate, label_domain, verify_sem
 
 
@@ -380,13 +381,14 @@ def _consecutive_sum_search(
       sum window and U), and agrees with f before position i, so the first
       labeling f has f(v_i) <= f(sigma(v_i)), and f(sigma(v_i)) > f(v_i) as
       f is injective. The kernel takes one such link per position, from the
-      last i that has one (`graphs.stabiliser_links`).
+      last i that has one (`graphs.stabiliser_chain`). O is the closure of
+      v0 under every map the chain found, so each of them, and each
+      composition of them, maps O onto itself.
 
-    The vertex order, O and the links depend on g alone, so one call works
-    each out once: the order and the links without O at the first range
-    that counting does not refute, where f(v0) = lo leaves every range
-    whole; O and the links that keep it when a search first gets past
-    f(v0) = lo.
+    The vertex order, the chain and O depend on g alone, so one call works
+    each out once: the order and the links at the first range that
+    counting does not refute, where f(v0) = lo leaves every range whole;
+    O, from level 0 of the chain, when a search first gets past f(v0) = lo.
     """
     p, q = g.p, g.q
     degrees = sorted(g.degrees(), reverse=True)
@@ -394,10 +396,10 @@ def _consecutive_sum_search(
     order: list[int] = []
     orbit: list[int] | None = None
     links: list[int] = []
-    orbit_links: list[int] = []
+    chain: Iterator
 
     def search(hi: int) -> Optional[tuple[int, ...]]:
-        nonlocal order, orbit, links, orbit_links
+        nonlocal order, orbit, links, chain
         if hi - lo + 1 < p:
             return None
         if q == 0:
@@ -419,17 +421,16 @@ def _consecutive_sum_search(
                 return None
         if not order:
             order = _search_order(g)
-            links = stabiliser_links(g, order, 0)
+            chain = stabiliser_chain(g, order)
+            links, _ = next(chain)
         v0 = order[0]
         candidates = [range(lo, hi + 1)] * p
         for first in range(lo, (lo + hi) // 2 + 1):
             if first == lo + 1 and orbit is None:
                 # With f(v0) = lo the orbit range [lo+1, hi] cuts nothing, so
-                # the orbit, and the links that must keep it, are worked out
-                # only once a search gets past that label.
-                orbit = [w for w in automorphism_orbit(g, v0) if w != v0]
-                keep = sum(1 << w for w in orbit)
-                orbit_links = stabiliser_links(g, order, keep) if keep else links
+                # level 0 of the chain is searched only once a search gets
+                # past that label.
+                orbit = [w for w in next(chain) if w != v0]
             # The loop over f(v0) narrows the ranges of v0 and its automorphic
             # images.
             candidates[v0] = range(first, first + 1)
@@ -438,8 +439,7 @@ def _consecutive_sum_search(
                     candidates[w] = range(first + 1, lo + hi - first + 1)
             labels = _first_labeling(
                 g, order, candidates, "sum", clock,
-                sum_range=(s_min, s_max + q - 1), unused=unused,
-                links=orbit_links if first > lo else links,
+                sum_range=(s_min, s_max + q - 1), unused=unused, links=links,
             )
             if labels is not None:
                 return labels

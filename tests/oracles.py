@@ -61,14 +61,10 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     ]
 
 
-def stabiliser_orbit(autos, order, j: int, keep: set) -> set:
+def stabiliser_orbit(autos, order, j: int) -> set:
     """Images of order[j] under the permutations in `autos` that fix
-    order[0..j-1] one by one and map the vertex set `keep` onto itself."""
-    return {
-        perm[order[j]]
-        for perm in autos
-        if all(perm[v] == v for v in order[:j]) and {perm[v] for v in keep} == keep
-    }
+    order[0..j-1] one by one."""
+    return {perm[order[j]] for perm in autos if all(perm[v] == v for v in order[:j])}
 
 
 def brute_lexfirst_sem(g: Graph, lo: int, hi: int, order):

@@ -23,7 +23,7 @@ from semlab.graphs import (
     enumerate_trees,
     is_tree,
     parse_graph6,
-    stabiliser_links,
+    stabiliser_chain,
 )
 from semlab.labelings import (
     Labeling,
@@ -259,62 +259,81 @@ class TestLexFirstWitness:
 
     def test_truncated_orbit_keeps_every_answer(self, monkeypatch):
         # With no step allowance no automorphism is proven, so the orbit of
-        # v0 is v0 alone and only the complement rule is left.
+        # v0 is v0 alone and only the complement rule is left; an allowance
+        # of 4 steps cuts the chain short part of the way down.
         cases = [(g, g.p + x) for g in oracles.atlas_graphs(5) for x in range(3)]
         cases += [(build_prism(4), 8 + x) for x in range(6)]
         full = [find_sem_labeling(g, top) for g, top in cases]
-        monkeypatch.setattr(graphs_mod, "_ORBIT_STEP_LIMIT", 0)
-        assert graphs_mod.automorphism_orbit(build_prism(4), 0) == [0]
-        assert [find_sem_labeling(g, top) for g, top in cases] == full
+        full.append(deficiency(build_prism(4), 7))
+        for limit in (0, 4):
+            monkeypatch.setattr(graphs_mod, "_ORBIT_STEP_LIMIT", limit)
+            if limit == 0:
+                chain = stabiliser_chain(build_prism(4), range(8))
+                next(chain)
+                assert next(chain) == [0]
+            found = [find_sem_labeling(g, top) for g, top in cases]
+            found.append(deficiency(build_prism(4), 7))
+            assert found == full
 
 
 class TestStabiliserLinks:
-    """`stabiliser_links` gives position k the last position j >= 1 whose
-    vertex an automorphism fixing the vertices before j, and keeping the
-    orbit set, maps to the vertex at k; the kernel then makes the label at k
-    exceed the label at j."""
+    """`stabiliser_chain` gives position k the last position j >= 1 whose
+    vertex an automorphism fixing the vertices before j maps to the vertex
+    at k; the kernel then makes the label at k exceed the label at j. The
+    orbit of v0 it returns is closed under every map it found."""
 
     def test_links_match_brute_force_stabiliser_orbits(self):
-        # Every prefix of the order of every graph of order <= 6, with no
-        # orbit set, the whole orbit of v0 and each one-vertex part of it.
-        # At this order the step allowance never runs out, so every link is
-        # found as well as sound.
+        # Every prefix of the order of every graph of order <= 6. At this
+        # order the step allowance never runs out, so every link and every
+        # orbit member is found as well as sound.
         for g in oracles.atlas_graphs(6):
             order = oracles.placement_order(g)
             autos = oracles.automorphisms(g)
-            orbit = {perm[order[0]] for perm in autos} - {order[0]}
-            for keep in [set(), orbit] + [{w} for w in sorted(orbit)]:
-                links = stabiliser_links(g, order, sum(1 << w for w in keep))
-                for k, w in enumerate(order):
-                    want = [
-                        j for j in range(1, k)
-                        if w in oracles.stabiliser_orbit(autos, order, j, keep)
-                    ]
-                    assert links[k] == max(want, default=-1), (g.edges, keep, k)
+            chain = stabiliser_chain(g, order)
+            links, _ = next(chain)
+            for k, w in enumerate(order):
+                want = [
+                    j for j in range(1, k)
+                    if w in oracles.stabiliser_orbit(autos, order, j)
+                ]
+                assert links[k] == max(want, default=-1), (g.edges, k)
+            assert next(chain) == sorted(oracles.stabiliser_orbit(autos, order, 0))
 
-    def test_shortened_orbit_refuses_the_link_that_moves_it(self, monkeypatch):
-        # On the cube, an automorphism fixing 0 maps 1 to 3, so the position
-        # of 3 links to that of 1. With the orbit of 0 cut down to {0, 1},
-        # every automorphism that keeps {1} fixes 1, and the link must go.
-        g = build_prism(4)
-        order = _search_order(g)
-        want = [find_sem_labeling(g, top) for top in range(8, 14)]
-        want.append(deficiency(g, 7))
-        made = []
+    def test_orbit_is_closed_under_every_map(self, monkeypatch):
+        # At the default allowance, at none and at 4 steps, which leaves
+        # the orbit of v0 short on some of these graphs: every map is an
+        # automorphism, and each sends the orbit onto itself.
+        short = 0
+        for limit in (graphs_mod._ORBIT_STEP_LIMIT, 0, 4):
+            monkeypatch.setattr(graphs_mod, "_ORBIT_STEP_LIMIT", limit)
+            for g in oracles.atlas_graphs(6):
+                order = oracles.placement_order(g)
+                chain = stabiliser_chain(g, order)
+                _, maps = next(chain)
+                members = set(next(chain))
+                for m in maps:
+                    perm = m
+                    if isinstance(m, tuple):
+                        perm = list(range(g.p))
+                        perm[m[0]], perm[m[1]] = m[1], m[0]
+                    assert g.relabeled(perm) == g, (g.edges, m)
+                    assert {perm[x] for x in members} == members, (g.edges, m)
+                autos = oracles.automorphisms(g)
+                short += len(members) < len(oracles.stabiliser_orbit(autos, order, 0))
+        assert short > 0
 
-        def links_made(g, order, keep):
-            links = stabiliser_links(g, order, keep)
-            made.append((keep, links))
-            return links
-
-        monkeypatch.setattr(search_mod, "stabiliser_links", links_made)
-        monkeypatch.setattr(search_mod, "automorphism_orbit", lambda g, v: [0, 1])
-        found = [find_sem_labeling(g, top) for top in range(8, 14)]
-        found.append(deficiency(g, 7))
-        assert found == want
-        links = dict(made)
-        assert links[0][order.index(3)] == order.index(1)
-        assert links[1 << 1][order.index(3)] != order.index(1)
+    def test_prism_orbit_is_every_vertex(self):
+        # Degree tells no two prism vertices apart, so only maps found by
+        # search can fill the orbit: on the generator's numbering and on a
+        # renumbering, up to the largest prism the benchmark and README use.
+        rng = random.Random(22)
+        for n in range(3, 23):
+            perm = list(range(2 * n))
+            rng.shuffle(perm)
+            for g in (build_prism(n), build_prism(n).relabeled(perm)):
+                chain = stabiliser_chain(g, _search_order(g))
+                next(chain)
+                assert next(chain) == list(range(2 * n)), (n, g.edges)
 
 
 def deficiency_cap7(g, budget):
