@@ -466,39 +466,27 @@ def enumerate_k_minus(n: int, alpha: int) -> Iterator[Graph]:
 
 # --- free trees -------------------------------------------------------------
 
-
-def _tree_centers(adj: list[list[int]]) -> list[int]:
-    n = len(adj)
-    if n <= 2:
-        return list(range(n))
-    deg = [len(a) for a in adj]
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for u in adj[v]:
-                if deg[u] > 1:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return sorted(layer)
+# A rooted tree is encoded in nested parentheses: "(" + the encodings of the
+# root's subtrees in sorted string order + ")". A free tree's canonical
+# encoding is the least one rooted at a centre.
 
 
-def _rooted_encoding(adj: list[list[int]], root: int, parent: int) -> str:
-    subs = sorted(
-        _rooted_encoding(adj, u, root) for u in adj[root] if u != parent
-    )
-    return "(" + "".join(subs) + ")"
+def _rooted(subs: Sequence[str]) -> str:
+    # The encoding of a root over subtrees with these encodings.
+    return "(" + "".join(sorted(subs)) + ")"
 
 
-def _tree_canonical_encoding(adj: list[list[int]]) -> str:
-    # Canonical nested-parentheses encoding of a free tree (centre-rooted).
-    centers = _tree_centers(adj)
-    return min(_rooted_encoding(adj, c, -1) for c in centers)
+def _subtrees(enc: str) -> list[str]:
+    # The encodings of the root's subtrees, in order.
+    subs = []
+    depth = 0
+    start = 1
+    for i in range(1, len(enc) - 1):
+        depth += 1 if enc[i] == "(" else -1
+        if depth == 0:
+            subs.append(enc[start:i + 1])
+            start = i + 1
+    return subs
 
 
 def _tree_from_encoding(enc: str) -> Graph:
@@ -522,26 +510,78 @@ def _tree_from_encoding(enc: str) -> Graph:
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """All free trees of order n, one per isomorphism class.
 
-    Grows trees one leaf at a time with canonical-encoding dedup; output is
-    in sorted canonical-encoding order with canonical vertex numbering, so
-    repeated runs are identical.
+    Builds each tree's canonical encoding once, from the centre out, so
+    nothing needs deduplicating. A tree of radius h with one centre has
+    subtrees of height <= h - 1 at the centre, at least two of them of
+    height exactly h - 1; a tree with two centres is the pair of halves,
+    both of height h, that the central edge joins. Output is in sorted
+    encoding order with vertex ids in preorder, so repeated runs are
+    identical.
     """
     if n < 1:
         raise ValueError("tree order must be >= 1")
-    level = {"()"}
-    for _ in range(n - 1):
-        nxt = set()
-        for enc in level:
-            g = _tree_from_encoding(enc)
-            adj = [g.neighbors(v) for v in range(g.p)]
-            for v in range(g.p):
-                adj.append([v])
-                adj[v].append(g.p)
-                nxt.add(_tree_canonical_encoding(adj))
-                adj[v].pop()
-                adj.pop()
-        level = nxt
-    for enc in sorted(level):
+    exact: dict[tuple[int, int], list[str]] = {}
+    bounded: dict[tuple[int, int], list[str]] = {}
+
+    def rooted(size: int, height: int) -> list[str]:
+        # Rooted trees of this order and exactly this height.
+        key = (size, height)
+        if key not in exact:
+            if height == 0:
+                exact[key] = ["()"] if size == 1 else []
+            else:
+                exact[key] = [_rooted(subs) for subs in crowns(size - 1, height - 1, 1)]
+        return exact[key]
+
+    def lower(size: int, height: int) -> list[str]:
+        # Rooted trees of this order and height <= height.
+        key = (size, height)
+        if key not in bounded:
+            bounded[key] = [t for h in range(height + 1) for t in rooted(size, h)]
+        return bounded[key]
+
+    def forests(pool, total, most, size=1, start=0):
+        # Multisets of trees from pool(k), k <= most, whose orders sum to
+        # `total`, each once: a multiset lists its trees in pool order (by
+        # order, then by index in pool(k)), from pool(size)[start] on.
+        if total == 0:
+            yield ()
+            return
+        for k in range(size, min(total, most) + 1):
+            trees = pool(k)
+            for i in range(start if k == size else 0, len(trees)):
+                head = (trees[i],)
+                for rest in forests(pool, total - k, most, k, i):
+                    yield head + rest
+
+    def crowns(total: int, height: int, least: int):
+        # Forests of order `total` whose trees have height <= height, at
+        # least `least` of them exactly `height`.
+        tall = lambda k: rooted(k, height)
+        short = lambda k: lower(k, height - 1)
+        for t in range(least * (height + 1), total + 1):
+            for top in forests(tall, t, t - (least - 1) * (height + 1)):
+                if len(top) >= least:
+                    for rest in forests(short, total - t, total - t):
+                        yield top + rest
+
+    encodings = ["()"] if n == 1 else []
+    for h in range(1, (n - 1) // 2 + 1):
+        # One centre, radius h.
+        encodings += [_rooted(subs) for subs in crowns(n - 1, h - 1, 2)]
+    for h in range((n - 2) // 2 + 1):
+        # Two centres: the halves either side of the central edge, both of
+        # height h, the smaller of order a; the encoding is the lesser of the
+        # two rootings.
+        for a in range(h + 1, n // 2 + 1):
+            larger = [(t, _subtrees(t)) for t in rooted(n - a, h)]
+            for i, small in enumerate(rooted(a, h)):
+                small_subs = _subtrees(small)
+                for big, big_subs in larger[i if 2 * a == n else 0:]:
+                    encodings.append(
+                        min(_rooted(small_subs + [big]), _rooted(big_subs + [small]))
+                    )
+    for enc in sorted(encodings):
         yield _tree_from_encoding(enc)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .graphs import Graph, is_tree
 
@@ -52,7 +52,7 @@ class Labeling:
             raise LabelingError("labels must be >= 0")
 
 
-Labels = Union[Sequence[int], Labeling]
+Labels = "Sequence[int] | Labeling"
 
 
 def label_domain(g: Graph, kind: str) -> tuple[int, int]:

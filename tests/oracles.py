@@ -345,3 +345,80 @@ def tree_class_count_prufer(n: int) -> int:
     for seq in itertools.product(range(n), repeat=n - 2):
         seen.add(tree_key(Graph(n, prufer_edges(seq, n))))
     return len(seen)
+
+
+def _tree_centers(adj: list[list[int]]) -> list[int]:
+    n = len(adj)
+    if n <= 2:
+        return list(range(n))
+    deg = [len(a) for a in adj]
+    layer = [v for v in range(n) if deg[v] == 1]
+    remaining = n
+    while remaining > 2:
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            deg[v] = 0
+            for u in adj[v]:
+                if deg[u] > 1:
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+    return sorted(layer)
+
+
+def _rooted_encoding(adj: list[list[int]], root: int, parent: int) -> str:
+    subs = sorted(
+        _rooted_encoding(adj, u, root) for u in adj[root] if u != parent
+    )
+    return "(" + "".join(subs) + ")"
+
+
+def _tree_canonical_encoding(adj: list[list[int]]) -> str:
+    # Canonical nested-parentheses encoding of a free tree (centre-rooted).
+    centers = _tree_centers(adj)
+    return min(_rooted_encoding(adj, c, -1) for c in centers)
+
+
+def _tree_from_encoding(enc: str) -> Graph:
+    # Rebuild the canonically-labelled tree: vertex ids in preorder, children
+    # in the sorted order their encodings appear.
+    edges = []
+    stack: list[int] = []
+    counter = 0
+    for ch in enc:
+        if ch == "(":
+            v = counter
+            counter += 1
+            if stack:
+                edges.append((stack[-1], v))
+            stack.append(v)
+        else:
+            stack.pop()
+    return Graph(counter, edges)
+
+
+def sweep_trees(n: int):
+    """All free trees of order n, one per isomorphism class, the slow way:
+    grows trees one leaf at a time with canonical-encoding dedup; output is
+    in sorted canonical-encoding order with canonical vertex numbering, so
+    repeated runs are identical. The reference for `enumerate_trees`, which
+    must yield the same Graphs in the same order."""
+    if n < 1:
+        raise ValueError("tree order must be >= 1")
+    level = {"()"}
+    for _ in range(n - 1):
+        nxt = set()
+        for enc in level:
+            g = _tree_from_encoding(enc)
+            adj = [g.neighbors(v) for v in range(g.p)]
+            for v in range(g.p):
+                adj.append([v])
+                adj[v].append(g.p)
+                nxt.add(_tree_canonical_encoding(adj))
+                adj[v].pop()
+                adj.pop()
+        level = nxt
+    for enc in sorted(level):
+        yield _tree_from_encoding(enc)

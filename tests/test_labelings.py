@@ -3,11 +3,16 @@ harmonious, sequential."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import semlab
 from semlab.graphs import Graph, build_cycle, build_path, build_star
 from semlab.labelings import (
     DuplicateSumsError,
@@ -382,3 +387,28 @@ class TestLabelDomain:
                     assert outcome(verify, g, t) == outcome(verify, g, Labeling(t)), (g.edges, t)
                     cases += 1
         assert cases > 600
+
+
+_REIMPORT = """
+import gc, importlib, sys, weakref
+ref = weakref.ref(importlib.import_module("semlab.labelings").Labeling)
+for name in [m for m in sys.modules if m == "semlab" or m.startswith("semlab.")]:
+    del sys.modules[name]
+importlib.import_module("semlab")
+gc.collect()
+assert ref() is None, "the first import's Labeling is still alive"
+"""
+
+
+def test_reimport_releases_the_old_modules():
+    # typing caches a runtime Union alias over Labeling, which would keep
+    # every imported copy of the package alive.
+    src = str(Path(semlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _REIMPORT],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

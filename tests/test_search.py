@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import os
 import random
 import time
 from unittest import mock
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import slow
 from semlab import graphs as graphs_mod
 from semlab import search as search_mod
 from semlab.graphs import (
@@ -391,11 +391,7 @@ def test_kernel_exploration_is_pinned():
     )
 
 
-@pytest.mark.skipif(
-    os.environ.get("SEMLAB_SLOW") != "1",
-    reason="the sweep takes about 9 s on a 2-core x86-64 host with "
-    "CPython 3.11; set SEMLAB_SLOW=1",
-)
+@slow("the sweep takes about 9 s on a 2-core x86-64 host with CPython 3.11")
 def test_sweep_node_totals_are_pinned():
     # Node totals of the kernel engines over every free tree of orders
     # 2-11 and every graph of order <= 7 with an edge.

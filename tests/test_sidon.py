@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import os
 import random
 import time
 
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import slow
 from semlab import sidon
 from semlab.graphs import Graph, build_complete, build_cycle, build_prism, enumerate_k_minus
 from semlab.search import SearchBudget, SearchBudgetExceeded
@@ -177,10 +177,9 @@ class TestRhoStar:
         for k in range(7, len(table)):
             assert sidon._least_diameter(k) <= table[k]
 
-    @pytest.mark.skipif(
-        os.environ.get("SEMLAB_SLOW") != "1",
-        reason="D(11) takes 9-15 s in the plain search on a 2-core x86-64 "
-        "host with CPython 3.11; set SEMLAB_SLOW=1",
+    @slow(
+        "D(11) takes 9-15 s in the plain search on a 2-core x86-64 "
+        "host with CPython 3.11"
     )
     def test_least_diameter_eleven_reproduced(self):
         assert sidon._LEAST_DIAMETER[11] == oracles.least_ws_diameter(11)
